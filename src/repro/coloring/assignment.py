@@ -140,6 +140,21 @@ class CodeAssignment:
         fresh._codes = dict(self._codes)
         return fresh
 
+    def changes_to(self, new: "CodeAssignment") -> dict[NodeId, tuple[Color | None, Color]]:
+        """``{node: (old, code)}`` for every node of ``new`` whose code differs.
+
+        The recoding set of replacing this assignment with ``new``
+        wholesale (the BBB recolor): ``old`` is ``None`` for a node
+        first colored by ``new``; nodes assigned only here are ignored.
+        Ascending by node id.
+        """
+        out: dict[NodeId, tuple[Color | None, Color]] = {}
+        for node, color in new.items():
+            old = self.get(node)
+            if old != color:
+                out[node] = (old, color)
+        return out
+
     def diff(self, other: "CodeAssignment") -> dict[NodeId, tuple[Color | None, Color | None]]:
         """Changes from ``self`` (old) to ``other`` (new).
 
@@ -187,6 +202,33 @@ class ArrayCodeAssignment(CodeAssignment):
         if codes:
             for node, color in codes.items():
                 self.assign(node, color)
+
+    @classmethod
+    def from_arrays(cls, nodes: np.ndarray, colors: np.ndarray) -> "ArrayCodeAssignment":
+        """Bulk-build from parallel arrays of distinct node ids and codes.
+
+        Equal to assigning the pairs one by one, with one vectorized
+        validation instead of one per node.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        colors = np.asarray(colors, dtype=np.int64)
+        fresh = cls()
+        if len(nodes) == 0:
+            return fresh
+        if nodes.min() < 0:
+            raise ValueError(
+                f"array assignment requires non-negative node ids, got {int(nodes.min())}"
+            )
+        if colors.min() < 1:
+            raise ValueError(f"color must be a positive integer, got {int(colors.min())}")
+        fresh._colors = cls._grown(fresh._colors, int(nodes.max()) + 1)
+        fresh._colors[nodes] = colors
+        fresh._top = int(colors.max())
+        fresh._hist = cls._grown(fresh._hist, fresh._top + 1)
+        fresh._hist[: fresh._top + 1] = np.bincount(colors, minlength=fresh._top + 1)
+        fresh._hist[0] = 0
+        fresh._count = len(nodes)
+        return fresh
 
     # -- mapping interface ----------------------------------------------
     def __getitem__(self, node: NodeId) -> Color:
@@ -290,6 +332,25 @@ class ArrayCodeAssignment(CodeAssignment):
         fresh._count = self._count
         fresh._top = self._top
         return fresh
+
+    def changes_to(self, new: CodeAssignment) -> dict[NodeId, tuple[Color | None, Color]]:
+        """``{node: (old, code)}`` for every node of ``new`` whose code differs.
+
+        Against another array assignment this is one array comparison
+        over the id-indexed color arrays instead of a lookup per node.
+        """
+        if not isinstance(new, ArrayCodeAssignment):
+            return super().changes_to(new)
+        fresh = new._colors
+        old = self._colors
+        if len(old) < len(fresh):
+            old = self._grown(old, len(fresh))
+        old = old[: len(fresh)]
+        nodes = np.flatnonzero((fresh != 0) & (old != fresh))
+        return {
+            node: (was or None, color)
+            for node, was, color in zip(nodes.tolist(), old[nodes].tolist(), fresh[nodes].tolist())
+        }
 
     # -- internals ------------------------------------------------------
     def _settle_top(self) -> None:

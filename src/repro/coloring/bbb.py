@@ -17,7 +17,9 @@ the lowest max-color curve among all strategies, and wholesale recoloring
 
 from __future__ import annotations
 
-from repro.coloring.assignment import CodeAssignment
+import numpy as np
+
+from repro.coloring.assignment import ArrayCodeAssignment, CodeAssignment
 from repro.coloring.dsatur import dsatur_color_matrix
 from repro.coloring.greedy import greedy_color_matrix
 from repro.coloring.smallest_last import smallest_last_order
@@ -32,6 +34,9 @@ def bbb_coloring(graph: AdHocDigraph) -> CodeAssignment:
 
     Runs DSATUR and smallest-last greedy, returning the assignment with
     the smaller maximum color (ties prefer DSATUR).  Deterministic.
+    Non-negative ids (every :class:`AdHocDigraph`) come back as an
+    :class:`ArrayCodeAssignment`, built in bulk, which a lane's array
+    assignment diffs with one comparison.
     """
     ids, conflicts = conflict_adjacency(graph)
     dsatur = dsatur_color_matrix(conflicts)
@@ -39,4 +44,7 @@ def bbb_coloring(graph: AdHocDigraph) -> CodeAssignment:
     ds_max = int(dsatur.max()) if len(dsatur) else 0
     sl_max = int(sl.max()) if len(sl) else 0
     chosen = dsatur if ds_max <= sl_max else sl
-    return CodeAssignment({ids[i]: int(chosen[i]) for i in range(len(ids))})
+    nodes = np.asarray(ids, dtype=np.int64)
+    if len(nodes) and nodes.min() < 0:
+        return CodeAssignment(dict(zip(ids, chosen.tolist())))
+    return ArrayCodeAssignment.from_arrays(nodes, chosen)

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.coloring.assignment import CodeAssignment
-from repro.topology.conflicts import conflict_adjacency
+from repro.topology.conflicts import conflict_adjacency, conflict_csr
 from repro.topology.digraph import AdHocDigraph
 from repro.types import NodeId
 
@@ -21,16 +21,17 @@ def greedy_color_matrix(conflicts: np.ndarray, order: Sequence[int]) -> np.ndarr
     color 1, later nodes get the smallest color not used by their already
     colored conflict neighbors.
     """
-    n = conflicts.shape[0]
-    colors = np.zeros(n, dtype=np.int64)
+    indptr, indices = conflict_csr(conflicts)
+    bounds = indptr.tolist()
+    nbrs = indices.tolist()
+    colors = [0] * conflicts.shape[0]
     for i in order:
-        neighbor_colors = colors[conflicts[i]]
-        used = set(int(c) for c in neighbor_colors[neighbor_colors > 0])
+        used = {colors[j] for j in nbrs[bounds[i] : bounds[i + 1]]}
         c = 1
         while c in used:
             c += 1
         colors[i] = c
-    return colors
+    return np.array(colors, dtype=np.int64)
 
 
 def first_fit_coloring(

@@ -13,28 +13,33 @@ import numpy as np
 
 from repro.coloring.assignment import CodeAssignment
 from repro.coloring.greedy import greedy_color_matrix
-from repro.topology.conflicts import conflict_adjacency
+from repro.topology.conflicts import conflict_adjacency, conflict_csr
 from repro.topology.digraph import AdHocDigraph
 from repro.types import NodeId
 
-__all__ = ["smallest_last_order", "smallest_last_coloring"]
+__all__ = ["smallest_last_coloring", "smallest_last_node_order", "smallest_last_order"]
+
+_REMOVED = 1 << 62
 
 
 def smallest_last_order(conflicts: np.ndarray) -> list[int]:
     """Coloring order: reverse of iterated minimum-degree removal.
 
-    Ties break on the lower index for determinism.
+    Ties break on the lower index for determinism: the live degree and
+    the index share one packed key, ``deg·n + i``, minimized by
+    ``argmin``; removing a vertex lowers its neighbors' keys by ``n``.
     """
     n = conflicts.shape[0]
-    degree = conflicts.sum(axis=1).astype(np.int64)
-    alive = np.ones(n, dtype=bool)
+    indptr, indices = conflict_csr(conflicts)
+    key = np.diff(indptr) * n + np.arange(n)
+    bounds = indptr.tolist()
     removal: list[int] = []
     for _ in range(n):
-        alive_idx = np.flatnonzero(alive)
-        i = int(alive_idx[np.lexsort((alive_idx, degree[alive_idx]))[0]])
+        i = int(key.argmin())
         removal.append(i)
-        alive[i] = False
-        degree[conflicts[i] & alive] -= 1
+        # Far above any live key; later decrements never bring it back.
+        key[i] = _REMOVED
+        key[indices[bounds[i] : bounds[i + 1]]] -= n
     removal.reverse()
     return removal
 

@@ -34,11 +34,7 @@ class BBBGlobalStrategy(RecodingStrategy):
         node_id: NodeId,
     ) -> RecodeResult:
         new = bbb_coloring(graph)  # type: ignore[arg-type]
-        changes: dict[NodeId, tuple[Color | None, Color]] = {}
-        for v, c in new.items():
-            old = assignment.get(v)
-            if old != c:
-                changes[v] = (old, c)
+        changes = assignment.changes_to(new)
         # A central coordinator collects the whole topology and pushes
         # every node's (possibly unchanged) color back out.
         messages = 2 * len(graph.node_ids())

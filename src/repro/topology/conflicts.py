@@ -21,6 +21,7 @@ from repro.types import NodeId
 __all__ = [
     "are_conflicting",
     "conflict_adjacency",
+    "conflict_csr",
     "conflict_degree",
     "conflict_matrix",
     "conflict_neighbors",
@@ -62,6 +63,19 @@ def conflict_adjacency(graph) -> tuple[list[NodeId], np.ndarray]:
         return native()
     ids, adj = graph.adjacency()
     return ids, conflict_matrix(adj)
+
+
+def conflict_csr(conflicts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` — the rows of a conflict matrix as CSR lists.
+
+    Row ``i``'s neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, so ``np.diff(indptr)`` is the row sums.  The coloring
+    kernels build this once per call and then touch only the neighbors
+    of the vertex they color, never a whole row.
+    """
+    rows, indices = np.nonzero(conflicts)
+    indptr = np.searchsorted(rows, np.arange(conflicts.shape[0] + 1))
+    return indptr, indices
 
 
 def conflict_neighbors(graph, node_id: NodeId) -> set[NodeId]:
@@ -116,7 +130,6 @@ def are_conflicting(graph: AdHocDigraph, u: NodeId, v: NodeId) -> bool:
 
 def conflict_degree(graph: AdHocDigraph) -> dict[NodeId, int]:
     """Conflict-graph degree of every node (used by coloring heuristics)."""
-    ids, adj = graph.adjacency()
-    c = conflict_matrix(adj)
+    ids, c = conflict_adjacency(graph)
     degs = c.sum(axis=1)
     return {ids[i]: int(degs[i]) for i in range(len(ids))}
