@@ -1,7 +1,7 @@
-"""Event-loop bench: the four conflict cores, head to head.
+"""Event-loop bench: the three conflict cores, head to head.
 
 Times the strategy-independent event loop (topology mutation + V1
-conflict derivation) in all four conflict-maintenance modes, mirroring
+conflict derivation) on every conflict core, mirroring
 what ``minim-cdma bench`` reports, so `--benchmark-compare` runs track
 the array core's advantage (and the sparse core's small-N overhead)
 over time.
@@ -26,11 +26,6 @@ def join_trace():
 
 def test_eventloop_join_array(benchmark, join_trace):
     wall = benchmark(drive_event_loop, join_trace, mode="array")
-    assert wall > 0.0
-
-
-def test_eventloop_join_grid(benchmark, join_trace):
-    wall = benchmark(drive_event_loop, join_trace, mode="grid")
     assert wall > 0.0
 
 

@@ -256,7 +256,7 @@ def _provenance(context: dict, worker: str) -> dict:
     """Stamp execution provenance onto a planned task context.
 
     Adds *who* computed the point, *when* it landed, and which conflict
-    core (``array`` / ``dict`` / ``dense``) the executing process ran —
+    core (``array`` / ``sparse`` / ``dense``) the executing process ran —
     the cores are byte-identical by contract, so the stamp is an audit
     trail for that claim, not a result discriminator.  The monitor's
     per-worker throughput view and ``store export`` read these back; the

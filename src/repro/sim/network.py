@@ -176,9 +176,8 @@ class _TopologyOwner:
         *,
         propagation: PropagationModel | None,
         enforce_connectivity: bool,
-        dense_conflicts: bool | None,
     ) -> None:
-        self.graph = AdHocDigraph(propagation, dense_conflicts=dense_conflicts)
+        self.graph = AdHocDigraph(propagation)
         self.enforce_connectivity = enforce_connectivity
 
     def _advance_topology(self, event: Event) -> TopologyDelta:
@@ -216,10 +215,8 @@ class AdHocNetwork(_TopologyOwner):
     enforce_connectivity:
         When True, reject reconfigurations that violate the paper's
         Minimal Connectivity assumption.
-    dense_conflicts:
-        Forwarded to :class:`AdHocDigraph`: ``True`` forces the dense
-        per-event conflict derivation, ``False`` the grid-accelerated
-        incremental one, ``None`` consults ``REPRO_DENSE``.
+
+    The conflict core follows ``REPRO_CORE`` (see :class:`AdHocDigraph`).
     """
 
     def __init__(
@@ -229,13 +226,8 @@ class AdHocNetwork(_TopologyOwner):
         propagation: PropagationModel | None = None,
         validate: bool = False,
         enforce_connectivity: bool = False,
-        dense_conflicts: bool | None = None,
     ) -> None:
-        super().__init__(
-            propagation=propagation,
-            enforce_connectivity=enforce_connectivity,
-            dense_conflicts=dense_conflicts,
-        )
+        super().__init__(propagation=propagation, enforce_connectivity=enforce_connectivity)
         self.lane = StrategyLane(
             strategy, validate=validate, array_colors=self.graph.core in ("array", "sparse")
         )
@@ -333,7 +325,7 @@ class MultiStrategyReplay(_TopologyOwner):
     ----------
     strategies:
         The per-lane strategy instances (one lane each, in order).
-    propagation, validate, enforce_connectivity, dense_conflicts:
+    propagation, validate, enforce_connectivity:
         As for :class:`AdHocNetwork`; ``validate`` applies to all lanes.
     """
 
@@ -344,15 +336,10 @@ class MultiStrategyReplay(_TopologyOwner):
         propagation: PropagationModel | None = None,
         validate: bool = False,
         enforce_connectivity: bool = False,
-        dense_conflicts: bool | None = None,
     ) -> None:
         if not strategies:
             raise ConfigurationError("MultiStrategyReplay needs at least one strategy")
-        super().__init__(
-            propagation=propagation,
-            enforce_connectivity=enforce_connectivity,
-            dense_conflicts=dense_conflicts,
-        )
+        super().__init__(propagation=propagation, enforce_connectivity=enforce_connectivity)
         array = self.graph.core in ("array", "sparse")
         self.lanes = [StrategyLane(s, validate=validate, array_colors=array) for s in strategies]
 
@@ -444,7 +431,7 @@ class MultiStrategyReplay(_TopologyOwner):
         core-independent: the digraph records topology state, not the
         conflict core that produced it, and lane assignments serialize
         as sorted ``(node, color)`` pairs whichever container holds
-        them, so a checkpoint written under the dict core restores
+        them, so a checkpoint written under the sparse core restores
         under the array core byte-identically (and vice versa) —
         pinned by ``tests/sim/test_array_replay.py``.
         """

@@ -384,7 +384,7 @@ def run_sweep(
             "runs": sweep.runs,
             "seed": sweep.seed,
             "executor": exec_.name,
-            # the orchestrator's conflict core (array/dict/dense) — an
+            # the orchestrator's conflict core (array/sparse/dense) — an
             # audit stamp, never a result discriminator: cores are
             # byte-identical by contract
             "core": default_core(),

@@ -37,12 +37,12 @@ draw and join trace consume, letting
 :func:`repro.sim.sweep.plan_tasks` group tasks by shared prefix without
 drawing any traces.
 
-Checkpoints are conflict-core independent: a fork deep-copies whichever
-core the replay's digraph runs (dict, dense, array, or the sparse CSR
-rows — :meth:`~repro.topology.digraph.AdHocDigraph.copy` clones the
-per-slot rows and witness counters without densifying), and serialized
+Checkpoints are conflict-core independent: a fork copies whichever
+core the replay's digraph runs (array, sparse or the dense oracle —
+:meth:`~repro.topology.digraph.AdHocDigraph.copy` clones the per-slot
+rows and witness counters without densifying), and serialized
 checkpoints restore under any core byte-identically, so a sweep
-resumed under ``REPRO_SPARSE=1`` continues checkpoints written by an
+resumed under ``REPRO_CORE=sparse`` continues checkpoints written by an
 array-core worker and vice versa (pinned by
 ``tests/sim/test_array_replay.py``).
 """

@@ -61,7 +61,7 @@ class PropagationModel(Protocol):
 #: independently — mask entry ``k`` is a pure function of the source
 #: and target ``k`` alone, never of which other targets appear in the
 #: batch.  Both built-in models satisfy it (distance and line-of-sight
-#: tests are per-pair), and the sparse conflict core depends on it to
+#: tests are per-pair), and the digraph's grid fast path depends on it to
 #: evaluate grid-bucketed candidate *subsets*: partitioning the targets
 #: across per-cell blocks and concatenating the filtered results must
 #: equal one whole-array evaluation.  A model that breaks the contract
@@ -80,14 +80,14 @@ def pairwise_masks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(coverage, covered_by)`` masks of one node against candidates.
 
-    The fused query of the array conflict core: after a join or move of
-    a node both its out-edges (*which candidates does it cover?*) and
-    its in-edges (*which candidates cover it?*) must be recomputed over
-    the same candidate set.  Models exposing a ``pairwise`` method (the
+    The fused query of the digraph's edge-set computation: after a join
+    or move of a node both its out-edges (*which candidates does it
+    cover?*) and its in-edges (*which candidates cover it?*) must be
+    recomputed over the same candidate set.  Models exposing a ``pairwise`` method (the
     built-in free-space and obstructed models do) answer both from one
     distance pass; other models fall back to two independent queries.
     Either way the masks are bitwise identical to separate
-    ``coverage``/``covered_by`` calls — the array and dict cores must
+    ``coverage``/``covered_by`` calls — the conflict cores must
     produce byte-identical edges.
     """
     native = getattr(model, "pairwise", None)
@@ -108,7 +108,7 @@ def block_masks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(coverage, covered_by)`` blocks of many sources vs. one candidate set.
 
-    The block-distance contract behind the sparse core's streaming bulk
+    The block-distance contract behind the digraph's streaming bulk
     join: ``g`` dirty nodes sharing a grid cell are evaluated against the
     cell's ``c`` candidates in one call instead of ``g`` separate
     :func:`pairwise_masks` queries.  Returns two ``(g, c)`` boolean
@@ -183,7 +183,7 @@ class FreeSpacePropagation:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(coverage, covered_by)`` from a single distance pass.
 
-        The array core's fused edge recomputation: the squared distances
+        The digraph's fused edge recomputation: the squared distances
         to the candidate set are computed once and compared against the
         node's own range (out-edges) and the candidates' ranges
         (in-edges).  Bitwise identical to separate ``coverage`` /

@@ -1,9 +1,9 @@
 """The array-native slot grid (`SlotGridIndex`).
 
-Membership parity with :class:`UniformGridIndex` (shared cell
-geometry), slot lifecycle under swap-delete renaming, and the
-``cutoff`` / bounding-box short-circuits of :meth:`candidate_slots` —
-which may only ever widen the candidate superset, never shrink it.
+Candidate supersets against brute-force discs, slot lifecycle under
+swap-delete renaming, and the ``cutoff`` / bounding-box short-circuits
+of :meth:`candidate_slots` — which may only ever widen the candidate
+superset, never shrink it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, UnknownNodeError
-from repro.geometry.grid_index import SlotGridIndex, UniformGridIndex
+from repro.geometry.grid_index import SlotGridIndex
 
 
 def _scatter(rng, n, span=100.0):
@@ -106,18 +106,15 @@ class TestCandidateQueries:
             inside = set(np.flatnonzero(d2 <= r * r).tolist())
             assert inside <= set(cand.tolist())
 
-    @pytest.mark.parametrize("cell", [3.0, 11.0])
-    def test_membership_matches_uniform_grid(self, cell):
-        rng = np.random.default_rng(2)
-        pts = _scatter(rng, 80)
-        slot_grid, id_grid = SlotGridIndex(cell), UniformGridIndex(cell)
-        for slot, (x, y) in enumerate(pts):
-            slot_grid.insert(slot, x, y)
-            id_grid.insert(slot, x, y)
-        for qx, qy, r in [(20.0, 80.0, 9.0), (60.0, 30.0, 25.0)]:
-            a = sorted(slot_grid.candidate_slots(qx, qy, r).tolist())
-            b = sorted(id_grid.candidates_in_box(qx, qy, r))
-            assert a == b  # shared cell geometry, identical supersets
+    def test_huge_query_takes_the_occupied_cell_scan(self):
+        # a query box wider than the occupancy flips to iterating the
+        # occupied cells; membership must not change
+        g = SlotGridIndex(1.0)
+        for slot in range(8):
+            g.insert(slot, float(10 * slot), 0.0)
+        assert sorted(g.candidate_slots(35.0, 0.0, 1e6).tolist()) == list(range(8))
+        # x in [14, 56] after the guard ring: a window, not everyone
+        assert sorted(g.candidate_slots(35.0, 0.0, 20.0).tolist()) == [2, 3, 4, 5]
 
     def test_result_is_never_a_bucket_view(self):
         g = SlotGridIndex(10.0)
@@ -173,54 +170,9 @@ class TestCutoff:
         assert g.cell_count == 1
 
 
-class TestIterCandidateBlocks:
-    """The streaming per-cell counterpart of ``candidate_slots``."""
-
-    def test_negative_radius_rejected(self):
-        g = SlotGridIndex(10.0)
-        with pytest.raises(ConfigurationError):
-            list(g.iter_candidate_blocks(0.0, 0.0, -1.0))
-
-    def test_empty_grid_yields_nothing(self):
-        g = SlotGridIndex(10.0)
-        assert list(g.iter_candidate_blocks(0.0, 0.0, 50.0)) == []
-
-    @pytest.mark.parametrize("cell", [3.0, 11.0, 40.0])
-    def test_block_union_matches_candidate_slots(self, cell):
-        rng = np.random.default_rng(5)
-        pts = _scatter(rng, 150)
-        g = SlotGridIndex(cell)
-        for slot, (x, y) in enumerate(pts):
-            g.insert(slot, x, y)
-        for qx, qy, r in [(50.0, 50.0, 12.0), (0.0, 0.0, 30.0), (99.0, 10.0, 5.0)]:
-            blocks = list(g.iter_candidate_blocks(qx, qy, r))
-            union = sorted(np.concatenate(blocks).tolist()) if blocks else []
-            assert len(union) == len(set(union))  # cells never overlap
-            assert union == sorted(g.candidate_slots(qx, qy, r).tolist())
-
-    def test_huge_query_takes_the_occupied_cell_scan(self):
-        # a query box wider than the occupancy flips to iterating the
-        # occupied cells; membership must not change
-        g = SlotGridIndex(1.0)
-        for slot in range(8):
-            g.insert(slot, float(10 * slot), 0.0)
-        blocks = list(g.iter_candidate_blocks(35.0, 0.0, 1e6))
-        union = sorted(np.concatenate(blocks).tolist())
-        assert union == sorted(g.candidate_slots(35.0, 0.0, 1e6).tolist())
-
-    def test_blocks_are_read_only_bucket_views(self):
-        g = SlotGridIndex(10.0)
-        g.insert(0, 5.0, 5.0)
-        g.insert(1, 6.0, 6.0)
-        (block,) = g.iter_candidate_blocks(5.0, 5.0, 1.0)
-        assert not block.flags.writeable  # live views: callers must copy
-        with pytest.raises(ValueError):
-            block[0] = 99
-
-
 class TestBoundaryAndBailout:
     """Exact cell-edge radii, queries outside the grown bbox, and the
-    3n/4 full-scan bailout the sparse core's candidate gathers rely on.
+    3n/4 full-scan bailout the digraph's candidate gathers rely on.
     """
 
     def test_radius_exactly_on_cell_edge_keeps_boundary_points(self):
@@ -230,11 +182,8 @@ class TestBoundaryAndBailout:
             g.insert(slot, x, 0.0)  # every point on a cell corner
         for r in xs:  # radius lands exactly on cell edges too
             cand = set(g.candidate_slots(0.0, 0.0, r).tolist())
-            blocks = list(g.iter_candidate_blocks(0.0, 0.0, r))
-            union = set(np.concatenate(blocks).tolist()) if blocks else set()
-            assert union == cand
             inside = {s for s, x in enumerate(xs) if x <= r}
-            assert inside <= union  # d == r members survive the window
+            assert inside <= cand  # d == r members survive the window
 
     def test_query_bbox_entirely_outside_grown_bbox(self):
         g = SlotGridIndex(10.0)
@@ -242,14 +191,13 @@ class TestBoundaryAndBailout:
         g.insert(1, -45.0, 32.0)
         for qx, qy in [(1e6, 1e6), (-1e6, 40.0), (50.0, -1e6)]:
             assert g.candidate_slots(qx, qy, 25.0).size == 0
-            assert list(g.iter_candidate_blocks(qx, qy, 25.0)) == []
             # the integer cell-window spelling agrees
             cx, cy = int(qx // 10.0), int(qy // 10.0)
             out = g.candidate_slots_cell(cx, cy, 25.0)
             assert out is not None and out.size == 0
 
     def test_three_quarter_full_scan_bailout(self):
-        # the sparse core hands the grid cutoff = 3n/4: a gather that
+        # the digraph hands the grid cutoff = 3n/4: a gather that
         # reaches it must bail to None (callers scan every slot instead)
         n = 16
         g = SlotGridIndex(10.0)
@@ -262,7 +210,7 @@ class TestBoundaryAndBailout:
         assert full is not None and sorted(full.tolist()) == list(range(n))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_block_union_equals_brute_force_on_random_placements(self, seed):
+    def test_candidates_cover_brute_force_on_random_placements(self, seed):
         rng = np.random.default_rng(seed)
         cell = float(rng.uniform(2.0, 15.0))
         g = SlotGridIndex(cell)
@@ -273,13 +221,11 @@ class TestBoundaryAndBailout:
             qx = float(rng.uniform(-60.0, 160.0))
             qy = float(rng.uniform(-60.0, 160.0))
             r = float(rng.choice([cell, 2.0 * cell, rng.uniform(0.0, 60.0)]))
-            blocks = list(g.iter_candidate_blocks(qx, qy, r))
-            union = sorted(np.concatenate(blocks).tolist()) if blocks else []
-            assert len(union) == len(set(union))  # cells never overlap
-            assert union == sorted(g.candidate_slots(qx, qy, r).tolist())
+            cand = g.candidate_slots(qx, qy, r).tolist()
+            assert len(cand) == len(set(cand))  # cells never overlap
             d2 = ((pts - (qx, qy)) ** 2).sum(axis=1)
             inside = set(np.flatnonzero(d2 <= r * r).tolist())
-            assert inside <= set(union)  # brute-force disc is covered
+            assert inside <= set(cand)  # brute-force disc is covered
 
 
 class TestCellWindowQueries:

@@ -167,7 +167,6 @@ class TestBenchCommand:
         entries = json.loads(out_path.read_text())
         assert {e["mode"] for e in entries} == {
             "array",
-            "grid",
             "dense",
             "sparse",
             "per-strategy",
@@ -182,7 +181,7 @@ class TestBenchCommand:
         for e in entries:
             assert {"scenario", "n", "wall_seconds", "events_per_sec"} <= set(e)
         array = [e for e in entries if e["mode"] == "array"]
-        assert len(array) == 2 and all(e["speedup_vs_dict"] > 0 for e in array)
+        assert len(array) == 2 and all(e["speedup_vs_dense"] > 0 for e in array)
         assert not any(e["scenario"] == "large-join" for e in entries)
         shared = [e for e in entries if e["mode"] == "shared"]
         assert len(shared) == 1 and shared[0]["speedup_vs_per_strategy"] > 0

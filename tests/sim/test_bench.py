@@ -22,10 +22,8 @@ class TestDrive:
     def test_drive_runs_all_modes(self):
         events = [JoinEvent(c) for c in sample_configs(15, np.random.default_rng(0))]
         assert drive_event_loop(events, mode="array") > 0.0
-        assert drive_event_loop(events, mode="grid") > 0.0
         assert drive_event_loop(events, mode="dense") > 0.0
         assert drive_event_loop(events, mode="sparse") > 0.0
-        assert drive_event_loop(events, mode="sparse-scalar") > 0.0
 
     def test_unknown_mode_rejected(self):
         events = [JoinEvent(c) for c in sample_configs(5, np.random.default_rng(0))]
@@ -50,11 +48,6 @@ class TestDrive:
         assert drive_event_rounds(rounds, mode="sparse", setup=setup) > 0.0
         assert drive_event_rounds(rounds, mode="array", setup=setup) > 0.0
 
-    def test_legacy_dense_conflicts_kwarg_still_maps(self):
-        events = [JoinEvent(c) for c in sample_configs(10, np.random.default_rng(0))]
-        assert drive_event_loop(events, dense_conflicts=False) > 0.0
-        assert drive_event_loop(events, dense_conflicts=True) > 0.0
-
 
 class TestBenchHarness:
     @pytest.fixture(scope="class")
@@ -62,7 +55,7 @@ class TestBenchHarness:
         return run_event_loop_bench(n=24, runs=1, seed=5)
 
     def test_entry_schema(self, entries):
-        assert len(entries) == 8  # 2 traces x 4 modes
+        assert len(entries) == 6  # 2 traces x 3 cores
         for e in entries:
             assert {"scenario", "n", "mode", "events", "wall_seconds", "events_per_sec"} <= set(e)
             assert e["events_per_sec"] > 0
@@ -71,18 +64,13 @@ class TestBenchHarness:
 
     def test_traces_and_modes_present(self, entries):
         assert {e["scenario"] for e in entries} == {"fig10-join", "random-waypoint"}
-        assert {e["mode"] for e in entries} == {"array", "grid", "dense", "sparse"}
+        assert {e["mode"] for e in entries} == {"array", "dense", "sparse"}
 
     def test_speedup_on_array_entries(self, entries):
         array = [e for e in entries if e["mode"] == "array"]
         assert len(array) == 2
-        assert all("speedup_vs_dict" in e and e["speedup_vs_dict"] > 0 for e in array)
-        assert all("speedup_vs_dict" not in e for e in entries if e["mode"] != "array")
-
-    def test_speedup_on_grid_entries(self, entries):
-        grid = [e for e in entries if e["mode"] == "grid"]
-        assert all("speedup_vs_dense" in e and e["speedup_vs_dense"] > 0 for e in grid)
-        assert all("speedup_vs_dense" not in e for e in entries if e["mode"] == "dense")
+        assert all("speedup_vs_dense" in e and e["speedup_vs_dense"] > 0 for e in array)
+        assert all("speedup_vs_dense" not in e for e in entries if e["mode"] != "array")
 
     def test_small_n_sparse_entries_publish_their_array_ratio(self, entries):
         # the honest small-N record: the sparse core is slower than the
@@ -119,7 +107,7 @@ class TestLargeNBench:
         from repro.sim.bench import run_large_n_bench
 
         # the floor of the large-n regime: big enough to exercise every
-        # leg (array, scalar baseline, bulk sparse, rounds) in seconds
+        # leg (array, bulk sparse, rounds) in seconds
         return run_large_n_bench(n=2000, runs=1, seed=5, max_mem_mb=256.0)
 
     def test_labels_carry_the_node_count_off_the_canonical_point(self, entries):
@@ -129,35 +117,25 @@ class TestLargeNBench:
         assert all(e["n"] == 2000 for e in entries)
 
     def test_all_legs_and_gated_ratios_present(self, entries):
-        assert [e["mode"] for e in entries] == [
-            "array",
-            "sparse-scalar",
-            "sparse",
-            "sparse-rounds",
-        ]
-        sparse = entries[2]
-        assert sparse["speedup_vs_array"] > 0
-        assert sparse["speedup_vs_pr7"] > 0  # bulk join vs the PR 7 loop
-        assert entries[3]["round_batch_speedup"] > 0
+        assert [e["mode"] for e in entries] == ["array", "sparse", "sparse-rounds"]
+        assert entries[1]["speedup_vs_array"] > 0
+        assert entries[2]["round_batch_speedup"] > 0
         assert all(e["peak_mem_mb"] > 0 for e in entries)
 
     def test_comparison_legs_drop_beyond_their_ceilings(self, monkeypatch):
         import repro.sim.bench as bench
 
-        # above the array/scalar ceilings (N=10^5 regime) only the bulk
-        # sparse legs run, and the ratio fields vanish with their legs
+        # above the array ceiling (N=10^5 regime) only the bulk sparse
+        # legs run, and the ratio field vanishes with its leg
         monkeypatch.setattr(bench, "_ARRAY_MAX_LARGE_N", 0)
-        monkeypatch.setattr(bench, "_SCALAR_MAX_LARGE_N", 0)
         entries = bench.run_large_n_bench(n=2000, runs=1, seed=5, max_mem_mb=None)
         assert [e["mode"] for e in entries] == ["sparse", "sparse-rounds"]
         assert "speedup_vs_array" not in entries[0]
-        assert "speedup_vs_pr7" not in entries[0]
 
     def test_memory_ceiling_enforced(self, monkeypatch):
         import repro.sim.bench as bench
 
         monkeypatch.setattr(bench, "_ARRAY_MAX_LARGE_N", 0)
-        monkeypatch.setattr(bench, "_SCALAR_MAX_LARGE_N", 0)
         with pytest.raises(ConfigurationError, match="ceiling"):
             bench.run_large_n_bench(n=2000, runs=1, seed=5, max_mem_mb=0.001)
 

@@ -85,10 +85,12 @@ class TestEquivalencePin:
         for lane in replay.lanes:
             assert is_valid(replay.graph, lane.assignment)
 
-    def test_dense_mode_matches_grid_mode(self):
+    def test_dense_mode_matches_grid_mode(self, monkeypatch):
         events = random_trace(14, 16, np.random.default_rng(3), with_leaves=False)
-        grid = MultiStrategyReplay([make_strategy("Minim")], dense_conflicts=False)
-        dense = MultiStrategyReplay([make_strategy("Minim")], dense_conflicts=True)
+        grid = MultiStrategyReplay([make_strategy("Minim")])
+        monkeypatch.setenv("REPRO_CORE", "dense")
+        dense = MultiStrategyReplay([make_strategy("Minim")])
+        assert grid.graph.core != "dense" and dense.graph.core == "dense"
         grid.run(events)
         dense.run(events)
         assert grid.lanes[0].metrics.records == dense.lanes[0].metrics.records

@@ -1,14 +1,15 @@
-"""Four-way conflict-core equivalence: dict, dense, array and sparse.
+"""Conflict-core equivalence: array and sparse against the dense oracle.
 
 The acceptance bar for every core rewrite (the array core's flat
 adjacency/C2 blocks, the sparse core's CSR rows and witness dicts): on
-randomized event traces all cores must produce adjacency, conflict
-sets AND snapshots *byte-identical* to the dict core's, with the dense
-path as an independent witness.  The slot-indexed query surface
-(``v1_slots``, ``conflict_masks``) must agree with the id-level
-queries it replaces, and the sparse core's round batching
-(:meth:`AdHocDigraph.apply_round`) must land on exactly the state
-sequential application produces.
+randomized event traces both incremental cores must produce adjacency
+and conflict sets identical to the dense oracle's (which re-derives
+``A | Aᵀ | (A·Aᵀ > 0)`` per mutation) and snapshots byte-identical to
+each other; their CA2 witness counters must equal ``A·Aᵀ`` exactly.
+The slot-indexed query surface (``v1_slots``, ``conflict_masks``) must
+agree with the id-level queries it replaces, and the sparse core's
+round batching (:meth:`AdHocDigraph.apply_round`) must land on exactly
+the state sequential application produces.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.geometry.grid_index import SlotGridIndex
 from repro.geometry.obstacles import RectObstacle
@@ -60,22 +62,22 @@ def _random_trace(graphs, seed, steps, check, area=100.0, first_id=1, alive=None
 
 
 def _assert_cores_agree(graphs, alive):
-    array = graphs[0]
-    ids_a, adj_a = array.adjacency()
-    oracle = conflict_matrix(adj_a)
-    assert (array.conflict_adjacency()[1] == oracle).all()
-    for other in graphs[1:]:
-        ids_o, adj_o = other.adjacency()
-        assert ids_a == ids_o
-        assert (adj_a == adj_o).all()
+    reference = graphs[0]
+    ids_r, adj_r = reference.adjacency()
+    oracle = conflict_matrix(adj_r)
+    for g in graphs:
+        ids_g, adj_g = g.adjacency()
+        assert ids_g == ids_r
+        assert (adj_g == adj_r).all()
+        assert (g.conflict_adjacency()[1] == oracle).all()
         for v in alive:
-            assert array.conflict_neighbor_ids(v) == other.conflict_neighbor_ids(v)
+            assert g.conflict_neighbor_ids(v) == reference.conflict_neighbor_ids(v)
 
 
 def _assert_snapshots_identical(graphs, alive):
     _assert_cores_agree(graphs, alive)
-    # every non-dense core's snapshot must agree byte-for-byte (the
-    # dense hatch legitimately differs: it never records a grid cell)
+    # every incremental core's snapshot must agree byte-for-byte (the
+    # oracle legitimately differs: it records no counters or grid cell)
     reference = None
     for g in graphs:
         if g.core == "dense":
@@ -89,23 +91,14 @@ def _assert_snapshots_identical(graphs, alive):
 class TestRandomizedArrayEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_free_space_traces_identical(self, seed):
-        graphs = [
-            AdHocDigraph(array_core=True),
-            AdHocDigraph(array_core=False),
-            AdHocDigraph(dense_conflicts=True),
-            AdHocDigraph(sparse_core=True),
-        ]
-        assert [g.core for g in graphs] == ["array", "dict", "dense", "sparse"]
+        graphs = [AdHocDigraph(core=c) for c in ("dense", "array", "sparse")]
+        assert [g.core for g in graphs] == ["dense", "array", "sparse"]
         _random_trace(graphs, seed, steps=70, check=_assert_snapshots_identical)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_obstructed_propagation_identical(self, seed):
         prop = ObstructedPropagation((RectObstacle(30.0, 30.0, 60.0, 40.0),))
-        graphs = [
-            AdHocDigraph(prop, array_core=True),
-            AdHocDigraph(prop, array_core=False),
-            AdHocDigraph(prop, sparse_core=True),
-        ]
+        graphs = [AdHocDigraph(prop, core=c) for c in ("dense", "array", "sparse")]
         _random_trace(graphs, seed, steps=45, check=_assert_snapshots_identical)
 
     @pytest.mark.parametrize("seed", range(2))
@@ -114,11 +107,7 @@ class TestRandomizedArrayEquivalence:
         # pushing the array core past its selectivity gate so the
         # candidate-gather path itself is equivalence-checked
         rng = np.random.default_rng(seed)
-        graphs = [
-            AdHocDigraph(array_core=True),
-            AdHocDigraph(array_core=False),
-            AdHocDigraph(sparse_core=True),
-        ]
+        graphs = [AdHocDigraph(core=c) for c in ("dense", "array", "sparse")]
         for node_id in range(1, 400):
             cfg = NodeConfig(
                 node_id,
@@ -128,7 +117,7 @@ class TestRandomizedArrayEquivalence:
             )
             for g in graphs:
                 g.add_node(cfg)
-        array = graphs[0]
+        array = graphs[1]
         assert isinstance(array.grid_index, SlotGridIndex)
         assert array.grid_index.cell_count > 32  # gate open: gathers engage
         _random_trace(
@@ -142,7 +131,7 @@ class TestRandomizedArrayEquivalence:
         )
 
     def test_copy_preserves_array_core(self):
-        g = AdHocDigraph(array_core=True)
+        g = AdHocDigraph(core="array")
         rng = np.random.default_rng(3)
         for i in range(1, 30):
             g.add_node(
@@ -161,7 +150,7 @@ class TestRandomizedArrayEquivalence:
 class TestSlotQuerySurface:
     @pytest.fixture()
     def graph(self):
-        g = AdHocDigraph(array_core=True)
+        g = AdHocDigraph(core="array")
         rng = np.random.default_rng(11)
         for i in range(1, 40):
             g.add_node(
@@ -206,7 +195,7 @@ class TestSlotQuerySurface:
 
 class TestSparseCoreEquivalence:
     def test_copy_preserves_sparse_core(self):
-        g = AdHocDigraph(sparse_core=True)
+        g = AdHocDigraph(core="sparse")
         rng = np.random.default_rng(7)
         for i in range(1, 30):
             g.add_node(
@@ -217,27 +206,30 @@ class TestSparseCoreEquivalence:
         clone.remove_node(4)
         clone.move_node(9, 0.0, 0.0)
         assert g.snapshot() != clone.snapshot()  # copies diverge independently
-        witness = AdHocDigraph(array_core=True)
+        witness = AdHocDigraph(core="dense")
         for node_id, x, y, r in clone.snapshot()["nodes"]:
             witness.add_node(NodeConfig(node_id, x, y, r))
         _assert_cores_agree([witness, clone], clone.node_ids())
 
     @pytest.mark.parametrize(
         ("src", "dst"),
-        [("array", "sparse"), ("sparse", "array"), ("sparse", "dict"), ("dict", "sparse")],
+        [
+            ("array", "sparse"),
+            ("sparse", "array"),
+            ("sparse", "dense"),
+            ("dense", "sparse"),
+            ("dense", "array"),
+        ],
     )
     def test_cross_core_snapshot_restore(self, src, dst):
-        kwargs = {
-            "array": dict(array_core=True),
-            "dict": dict(array_core=False),
-            "sparse": dict(sparse_core=True),
-        }
-        origin = AdHocDigraph(**kwargs[src])
+        origin = AdHocDigraph(core=src)
         _random_trace([origin], seed=13, steps=50, check=lambda *_: None)
         snap = origin.snapshot()
-        restored = AdHocDigraph.restore(snap, **kwargs[dst])
+        restored = AdHocDigraph.restore(snap, core=dst)
         assert restored.core == dst
-        assert restored.snapshot() == snap  # round-trip is byte-identical
+        if "dense" not in (src, dst):
+            assert restored.snapshot() == snap  # round-trip is byte-identical
+        _assert_cores_agree([origin, restored], origin.node_ids())
         # and the restored graph *continues* identically under churn
         _random_trace(
             [origin, restored],
@@ -251,26 +243,26 @@ class TestSparseCoreEquivalence:
     def test_auto_promotion_matches_pinned_cores(self, monkeypatch):
         import repro.topology.digraph as digraph_mod
 
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
+        monkeypatch.delenv("REPRO_CORE", raising=False)
         monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
         graphs = [
-            AdHocDigraph(),  # default knobs: auto-promotion armed
-            AdHocDigraph(array_core=True),
-            AdHocDigraph(array_core=False),
+            AdHocDigraph(core="dense"),
+            AdHocDigraph(),  # REPRO_CORE unset: auto-promotion armed
+            AdHocDigraph(core="array"),
         ]
-        assert graphs[0].core == "array"
+        assert graphs[1].core == "array"
         _random_trace(graphs, seed=5, steps=80, check=_assert_snapshots_identical)
-        assert graphs[0].core == "sparse"  # crossed the threshold mid-trace
-        assert graphs[1].core == "array"  # an explicit pin never promotes
+        assert graphs[1].core == "sparse"  # crossed the threshold mid-trace
+        assert graphs[2].core == "array"  # an explicit pin never promotes
 
 
 class TestSparseRoundBatching:
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_round_matches_sequential(self, seed):
         rng = np.random.default_rng(seed)
-        batched = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True)
-        witness = AdHocDigraph(array_core=True)
+        batched = AdHocDigraph(core="sparse")
+        sequential = AdHocDigraph(core="sparse")
+        witness = AdHocDigraph(core="array")
         alive: list[int] = []
         next_id = 1
         for _ in range(8):
@@ -305,7 +297,7 @@ class TestSparseRoundBatching:
             assert batched.snapshot() == sequential.snapshot() == witness.snapshot()
 
     def test_non_sparse_cores_fall_back_to_sequential(self):
-        g = AdHocDigraph(array_core=True)
+        g = AdHocDigraph(core="array")
         events = [
             JoinEvent(NodeConfig(1, 10.0, 10.0, 30.0)),
             JoinEvent(NodeConfig(2, 20.0, 10.0, 30.0)),
@@ -316,39 +308,47 @@ class TestSparseRoundBatching:
         assert [d.version for d in deltas] == [1, 2, 3]
 
 
-class TestSparseScalarEquivalence:
-    """The vectorized sparse kernels against the PR 7 scalar oracle.
+def _witness_block(g: AdHocDigraph) -> np.ndarray:
+    """The core's raw CA2 counters as an (n, n) block in slot order."""
+    n = len(g)
+    if g.core == "array":
+        return g._core.c2[:n, :n].astype(np.int64)
+    block = np.zeros((n, n), dtype=np.int64)
+    for u, entries in enumerate(g._core.c2s):
+        for v, count in entries.items():
+            block[u, v] = count
+    return block
 
-    ``sparse_scalar=True`` pins the per-event scalar kernels the
-    batched row-rebuild / bulk-join paths replaced; the vectorized core
-    must stay byte-identical to it on randomized churn, including under
-    a propagation model with no native block kernel (the
-    ``block_masks`` fallback loop).
+
+def _assert_witnesses_exact(graphs, alive):
+    """C2[u, v] == |out(u) ∩ out(v)|, derived independently as A·Aᵀ."""
+    for g in graphs:
+        n = len(g)
+        a = np.zeros((n, n), dtype=np.int64)
+        for src, dst in g.edges():
+            a[g.slot_of(src), g.slot_of(dst)] = 1
+        want = a @ a.T
+        np.fill_diagonal(want, 0)
+        np.testing.assert_array_equal(_witness_block(g), want)
+
+
+class TestWitnessCounters:
+    """Both incremental cores' CA2 counters equal ``A·Aᵀ`` (zero diagonal).
+
+    An independent derivation of the counters from the edge list, after
+    every event of randomized churn, including under a propagation model
+    with no native block kernel (the ``block_masks`` fallback loop).
     """
 
     @pytest.mark.parametrize("seed", range(3))
     def test_free_space_traces_identical(self, seed):
-        graphs = [
-            AdHocDigraph(sparse_core=True),
-            AdHocDigraph(sparse_core=True, sparse_scalar=True),
-            AdHocDigraph(array_core=True),
-        ]
-        assert graphs[1].sparse_scalar and not graphs[0].sparse_scalar
-        _random_trace(graphs, seed, steps=60, check=_assert_snapshots_identical)
+        graphs = [AdHocDigraph(core="array"), AdHocDigraph(core="sparse")]
+        _random_trace(graphs, seed, steps=60, check=_assert_witnesses_exact)
 
     def test_obstructed_propagation_identical(self):
         prop = ObstructedPropagation((RectObstacle(30.0, 30.0, 60.0, 40.0),))
-        graphs = [
-            AdHocDigraph(prop, sparse_core=True),
-            AdHocDigraph(prop, sparse_core=True, sparse_scalar=True),
-        ]
-        _random_trace(graphs, seed=9, steps=40, check=_assert_snapshots_identical)
-
-    def test_scalar_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_SCALAR", "1")
-        assert AdHocDigraph(sparse_core=True).sparse_scalar
-        monkeypatch.setenv("REPRO_SPARSE_SCALAR", "0")
-        assert not AdHocDigraph(sparse_core=True).sparse_scalar
+        graphs = [AdHocDigraph(prop, core="array"), AdHocDigraph(prop, core="sparse")]
+        _random_trace(graphs, seed=9, steps=40, check=_assert_witnesses_exact)
 
 
 class TestBulkJoin:
@@ -367,8 +367,8 @@ class TestBulkJoin:
     @pytest.mark.parametrize("seed", range(3))
     def test_bulk_join_matches_sequential(self, seed):
         configs = self._configs(120, seed)
-        bulk = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True, sparse_scalar=True)
+        bulk = AdHocDigraph(core="sparse")
+        sequential = AdHocDigraph(core="sparse")
         deltas = bulk.bulk_join(configs)
         for cfg in configs:
             sequential.add_node(cfg)
@@ -379,8 +379,8 @@ class TestBulkJoin:
 
     def test_apply_round_routes_all_join_rounds(self):
         configs = self._configs(40, seed=4)
-        routed = AdHocDigraph(sparse_core=True)
-        sequential = AdHocDigraph(sparse_core=True)
+        routed = AdHocDigraph(core="sparse")
+        sequential = AdHocDigraph(core="sparse")
         got = routed.apply_round([JoinEvent(cfg) for cfg in configs])
         want = [sequential.apply_event(JoinEvent(cfg)) for cfg in configs]
         assert got == want
@@ -389,7 +389,7 @@ class TestBulkJoin:
     def test_duplicate_join_fails_before_any_mutation(self):
         from repro.errors import DuplicateNodeError
 
-        g = AdHocDigraph(sparse_core=True)
+        g = AdHocDigraph(core="sparse")
         configs = self._configs(10, seed=2)
         snap = None
         g.bulk_join(configs)
@@ -401,10 +401,10 @@ class TestBulkJoin:
 
     def test_non_sparse_core_falls_back_to_sequential(self):
         configs = self._configs(12, seed=6)
-        g = AdHocDigraph(array_core=True)
+        g = AdHocDigraph(core="array")
         deltas = g.bulk_join(configs)
         assert [d.version for d in deltas] == list(range(1, 13))
-        witness = AdHocDigraph(array_core=True)
+        witness = AdHocDigraph(core="array")
         for cfg in configs:
             witness.add_node(cfg)
         assert g.snapshot() == witness.snapshot()
@@ -413,7 +413,7 @@ class TestBulkJoin:
 class TestConflictSlotLists:
     @pytest.fixture()
     def graph(self):
-        g = AdHocDigraph(sparse_core=True)
+        g = AdHocDigraph(core="sparse")
         rng = np.random.default_rng(21)
         for i in range(1, 80):
             g.add_node(
@@ -452,55 +452,72 @@ class TestConflictSlotLists:
 
     def test_empty_and_non_sparse_fallback(self, graph):
         assert graph.conflict_slot_lists(np.asarray([], dtype=np.intp)) == []
-        dense = AdHocDigraph(array_core=True)
+        dense = AdHocDigraph(core="array")
         dense.add_node(NodeConfig(1, 10.0, 10.0, 30.0))
         dense.add_node(NodeConfig(2, 20.0, 10.0, 30.0))
         (row,) = dense.conflict_slot_lists(np.asarray([0], dtype=np.intp))
         np.testing.assert_array_equal(row, dense.conflict_slots(0))
 
 
-class TestArrayCoreDefaults:
-    def test_env_flag_flips_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        monkeypatch.setenv("REPRO_ARRAY", "0")
-        assert AdHocDigraph().core == "dict"
-        monkeypatch.setenv("REPRO_ARRAY", "1")
-        assert AdHocDigraph().core == "array"
-        monkeypatch.delenv("REPRO_ARRAY")
-        assert AdHocDigraph().core == "array"  # array is the default core
+class TestCoreSelection:
+    """``core=`` / ``REPRO_CORE``: the single, validated core selector."""
 
-    def test_dense_wins_over_array(self):
-        assert AdHocDigraph(dense_conflicts=True, array_core=True).core == "dense"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY", "1")
-        assert AdHocDigraph(array_core=False).core == "dict"
-
-    def test_sparse_env_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRAY", raising=False)
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        assert AdHocDigraph().core == "sparse"
-        assert default_core() == "sparse"
-        # explicit core pins beat the env knob
-        assert AdHocDigraph(array_core=True).core == "array"
-        assert AdHocDigraph(array_core=False).core == "dict"
-        assert AdHocDigraph(sparse_core=False).core == "array"
-
-    def test_dense_wins_over_sparse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        assert AdHocDigraph().core == "dense"
-        assert default_core() == "dense"
-        assert AdHocDigraph(dense_conflicts=True, sparse_core=True).core == "dense"
-
-    def test_default_core_accounts_for_population(self, monkeypatch):
+    @pytest.mark.parametrize("core", ["array", "sparse", "dense"])
+    def test_each_env_value_selects_and_pins_its_core(self, core, monkeypatch):
         import repro.topology.digraph as digraph_mod
 
-        for knob in ("REPRO_SPARSE", "REPRO_ARRAY", "REPRO_DENSE"):
-            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.setenv("REPRO_CORE", core)
+        assert AdHocDigraph().core == core
+        assert default_core() == core
+        assert default_core(digraph_mod._SPARSE_AUTO_MIN) == core  # pinned
+
+    def test_unset_means_array_with_auto_promotion(self, monkeypatch):
+        import repro.topology.digraph as digraph_mod
+
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+        # the retired knobs are ignored rather than half-honoured
+        for knob in ("REPRO_DENSE", "REPRO_ARRAY", "REPRO_SPARSE"):
+            monkeypatch.setenv(knob, "false")
         threshold = digraph_mod._SPARSE_AUTO_MIN
         assert default_core() == "array"
         assert default_core(threshold - 1) == "array"
         assert default_core(threshold) == "sparse"
-        monkeypatch.setenv("REPRO_SPARSE", "0")  # pin disables auto-promotion
-        assert default_core(threshold) == "array"
+        monkeypatch.setenv("REPRO_CORE", "")  # empty counts as unset
+        assert default_core(threshold) == "sparse"
+        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
+        g = AdHocDigraph()
+        for i in range(1, 10):
+            g.add_node(NodeConfig(i, float(i), 0.0, 5.0))
+        assert g.core == "array"
+        g.add_node(NodeConfig(10, 10.0, 0.0, 5.0))
+        assert g.core == "sparse"
+
+    def test_explicit_array_pins_without_promotion(self, monkeypatch):
+        import repro.topology.digraph as digraph_mod
+
+        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+        pinned = AdHocDigraph(core="array")
+        monkeypatch.setenv("REPRO_CORE", "array")
+        env_pinned = AdHocDigraph()
+        for i in range(1, 20):
+            for g in (pinned, env_pinned):
+                g.add_node(NodeConfig(i, float(i), 0.0, 5.0))
+        assert pinned.core == env_pinned.core == "array"
+
+    def test_explicit_argument_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CORE", "sparse")
+        assert AdHocDigraph(core="dense").core == "dense"
+        assert AdHocDigraph(core="array").core == "array"
+
+    def test_unknown_value_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CORE", "false")
+        with pytest.raises(ConfigurationError, match="REPRO_CORE") as err:
+            AdHocDigraph()
+        for choice in ("array", "sparse", "dense"):
+            assert choice in str(err.value)
+        with pytest.raises(ConfigurationError, match="REPRO_CORE"):
+            default_core()
+        monkeypatch.delenv("REPRO_CORE")
+        with pytest.raises(ConfigurationError, match="core"):
+            AdHocDigraph(core="dict")

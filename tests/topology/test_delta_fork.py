@@ -20,13 +20,11 @@ from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.sim.random_networks import sample_configs
 from repro.topology.digraph import AdHocDigraph
 
-CORES = ("array", "grid", "dense", "sparse")
+CORES = ("array", "dense", "sparse")
 
 
 def make_graph(core: str) -> AdHocDigraph:
-    if core == "sparse":
-        return AdHocDigraph(sparse_core=True)
-    return AdHocDigraph(dense_conflicts=core == "dense", array_core=core == "array")
+    return AdHocDigraph(core=core)
 
 
 def canonical(graph: AdHocDigraph) -> str:

@@ -2,8 +2,8 @@
 
 The acceptance bar for the fast path: on randomized event traces, the
 grid-backed incremental digraph must produce *identical* adjacency and
-conflict sets to the ``REPRO_DENSE`` path (which re-derives the
-canonical dense conflict matrix per event), and both must agree with
+conflict sets to the dense oracle (``core="dense"``, which re-derives
+the canonical dense conflict matrix per event), and both must agree with
 the pure :func:`conflict_matrix` oracle.
 """
 
@@ -72,33 +72,28 @@ def _assert_equivalent(graphs: list[AdHocDigraph], alive: list[int]) -> None:
 class TestRandomizedTraceEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_free_space_conflict_sets_identical(self, seed):
-        graphs = [AdHocDigraph(dense_conflicts=False), AdHocDigraph(dense_conflicts=True)]
-        assert not graphs[0].dense_conflicts and graphs[1].dense_conflicts
+        graphs = [AdHocDigraph(), AdHocDigraph(core="dense")]
+        assert graphs[0].core != "dense" and graphs[1].core == "dense"
         _random_trace(graphs, seed, steps=60, check=_assert_equivalent)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_obstructed_propagation_equivalent(self, seed):
         obstacles = (RectObstacle(30.0, 30.0, 60.0, 40.0),)
         prop = ObstructedPropagation(obstacles)
-        graphs = [
-            AdHocDigraph(prop, dense_conflicts=False),
-            AdHocDigraph(prop, dense_conflicts=True),
-        ]
+        graphs = [AdHocDigraph(prop), AdHocDigraph(prop, core="dense")]
         _random_trace(graphs, seed, steps=40, check=_assert_equivalent)
 
     def test_grid_engages_on_fast_path(self):
-        g = AdHocDigraph(dense_conflicts=False)
+        g = AdHocDigraph()
         g.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
         assert g.grid_index is not None
-        # The array core keys the grid by storage slot, the dict core by
-        # node id; either way the sole node must be indexed.
-        assert len(g.grid_index) == 1
-        d = AdHocDigraph(dense_conflicts=True)
+        assert len(g.grid_index) == 1  # the sole node's slot is indexed
+        d = AdHocDigraph(core="dense")
         d.add_node(NodeConfig(1, 10.0, 10.0, 25.0))
         assert d.grid_index is None
 
     def test_regrid_on_large_power_raise(self):
-        g = AdHocDigraph(dense_conflicts=False)
+        g = AdHocDigraph()
         for i in range(1, 10):
             g.add_node(NodeConfig(i, 10.0 * i, 5.0, 4.0))
         small_cell = g.grid_index.cell_size
@@ -109,7 +104,7 @@ class TestRandomizedTraceEquivalence:
         assert (g.conflict_adjacency()[1] == conflict_matrix(adj)).all()
 
     def test_copy_preserves_fast_path_state(self):
-        g = AdHocDigraph(dense_conflicts=False)
+        g = AdHocDigraph()
         rng = np.random.default_rng(0)
         for i in range(1, 25):
             g.add_node(
@@ -126,13 +121,11 @@ class TestRandomizedTraceEquivalence:
 
 class TestDenseEnvDefault:
     def test_repro_dense_env_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        assert AdHocDigraph().dense_conflicts
-        monkeypatch.setenv("REPRO_DENSE", "0")
-        assert not AdHocDigraph().dense_conflicts
-        monkeypatch.delenv("REPRO_DENSE")
-        assert not AdHocDigraph().dense_conflicts
+        monkeypatch.setenv("REPRO_CORE", "dense")
+        assert AdHocDigraph().core == "dense"
+        monkeypatch.delenv("REPRO_CORE")
+        assert AdHocDigraph().core == "array"
 
     def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        assert not AdHocDigraph(dense_conflicts=False).dense_conflicts
+        monkeypatch.setenv("REPRO_CORE", "dense")
+        assert AdHocDigraph(core="array").core == "array"

@@ -1,9 +1,9 @@
 """Property-based slot-table invariants under randomized churn.
 
-``AdHocDigraph._vacate_slot`` is the shared swap-delete tail of every
-removal: it renumbers the last slot into the freed one across *all*
-per-slot tables (positions, ranges, id maps, dense blocks, sparse rows
-and witness dicts, grid membership).  These tests hammer it with
+Every removal swap-deletes: the core (``ConflictCore.remove``) and the
+facade (``AdHocDigraph._vacate_slot``) renumber the last slot into the
+freed one across *all* per-slot tables (positions, ranges, id maps,
+dense blocks, sparse rows and witness dicts, grid membership).  These tests hammer it with
 seeded random add/remove/move/set-range sequences and assert the full
 set of structural invariants after every step, for every conflict
 core — the class of bug a swap-delete rewrite can introduce (a stale
@@ -19,12 +19,7 @@ import pytest
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 
-CORES = {
-    "dict": dict(array_core=False),
-    "dense": dict(dense_conflicts=True),
-    "array": dict(array_core=True),
-    "sparse": dict(sparse_core=True),
-}
+CORES = ("array", "dense", "sparse")
 
 
 def _check_slot_tables(g: AdHocDigraph) -> None:
@@ -59,39 +54,39 @@ def _check_adjacency_oracle(g: AdHocDigraph) -> None:
 def _check_trailing_slots_clear(g: AdHocDigraph) -> None:
     """Swap-delete must zero the freed trailing rows, not just hide them."""
     n = len(g.node_ids())
-    if g._adj is not None:
-        assert not g._adj[n:].any()
-        assert not g._adj[:, n:].any()
-    if g._c2 is not None:
-        assert not g._c2[n:].any()
-        assert not g._c2[:, n:].any()
+    for name in ("adj", "c2"):
+        block = getattr(g._core, name, None)
+        if block is not None:
+            assert not block[n:].any()
+            assert not block[:, n:].any()
 
 
 def _check_sparse_rows(g: AdHocDigraph) -> None:
     """CSR rows are sorted/unique/in-range, mirrored, and the witness
     dicts hold exactly the positive |out(u) ∩ out(v)| counts."""
     n = len(g.node_ids())
-    assert len(g._outr) == len(g._inr) == len(g._c2s) == n
+    outr, inr, c2s = g._core.outr, g._core.inr, g._core.c2s
+    assert len(outr) == len(inr) == len(c2s) == n
     outs = []
     for u in range(n):
-        for row in (g._outr[u], g._inr[u]):
+        for row in (outr[u], inr[u]):
             entries = row.view()
             assert (np.diff(entries) > 0).all()  # strictly ascending = unique
             if entries.size:
                 assert 0 <= int(entries[0]) and int(entries[-1]) < n
                 assert u not in entries.tolist()  # no self-loops
-        outs.append(set(g._outr[u].view().tolist()))
-        for v in g._outr[u].view().tolist():
-            assert u in g._inr[v].view().tolist()  # out/in mirror
-        for v in g._inr[u].view().tolist():
-            assert u in g._outr[v].view().tolist()
+        outs.append(set(outr[u].view().tolist()))
+        for v in outr[u].view().tolist():
+            assert u in inr[v].view().tolist()  # out/in mirror
+        for v in inr[u].view().tolist():
+            assert u in outr[v].view().tolist()
     for u in range(n):
-        for v, count in g._c2s[u].items():
+        for v, count in c2s[u].items():
             assert v != u and count > 0  # zero entries must be deleted
-            assert g._c2s[v][u] == count  # symmetric mirror
+            assert c2s[v][u] == count  # symmetric mirror
     for u in range(n):  # completeness: every overlapping pair is witnessed
         for v in range(u + 1, n):
-            assert g._c2s[u].get(v, 0) == len(outs[u] & outs[v])
+            assert c2s[u].get(v, 0) == len(outs[u] & outs[v])
 
 
 def _check_all(g: AdHocDigraph) -> None:
@@ -106,7 +101,7 @@ class TestSlotInvariantsUnderChurn:
     @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("seed", range(3))
     def test_random_churn_preserves_invariants(self, core, seed):
-        g = AdHocDigraph(**CORES[core])
+        g = AdHocDigraph(core=core)
         rng = np.random.default_rng(seed)
         alive: list[int] = []
         next_id = 1
@@ -139,7 +134,7 @@ class TestSlotInvariantsUnderChurn:
     def test_remove_last_slot_and_drain_to_empty(self, core):
         # the i == last branch (no swap), then drain through repeated
         # swap-deletes of slot 0, then rebuild on the emptied tables
-        g = AdHocDigraph(**CORES[core])
+        g = AdHocDigraph(core=core)
         for i in range(1, 13):
             g.add_node(NodeConfig(i, float(3 * i), float(2 * i), 20.0))
         g.remove_node(12)  # departing node *is* the last slot
