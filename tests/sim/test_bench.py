@@ -32,6 +32,14 @@ class TestDrive:
         with pytest.raises(ValueError):
             drive_event_rounds([events], mode="bogus")
 
+    @pytest.mark.parametrize("mode", ["grid", "sparse-scalar"])
+    def test_modes_of_deleted_cores_rejected(self, mode):
+        events = [JoinEvent(c) for c in sample_configs(5, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match=mode):
+            drive_event_loop(events, mode=mode)
+        with pytest.raises(ValueError, match=mode):
+            drive_event_rounds([events], mode=mode)
+
     def test_setup_events_are_untimed_but_applied(self):
         configs = sample_configs(12, np.random.default_rng(0))
         setup = [JoinEvent(c) for c in configs]

@@ -350,6 +350,46 @@ class TestWitnessCounters:
         graphs = [AdHocDigraph(prop, core="array"), AdHocDigraph(prop, core="sparse")]
         _random_trace(graphs, seed=9, steps=40, check=_assert_witnesses_exact)
 
+    def test_auto_promotion_converts_the_counters_exactly(self, monkeypatch):
+        # the sparse core built from the array core's C2 block must carry
+        # exact witness dicts from the first post-promotion event on
+        import repro.topology.digraph as digraph_mod
+
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 10)
+        g = AdHocDigraph()
+        # a crowded area, so pairs share several receivers at promotion
+        _random_trace([g], seed=21, steps=70, check=_assert_witnesses_exact, area=40.0)
+        assert g.core == "sparse"
+
+    @pytest.mark.parametrize("core", ["array", "sparse"])
+    def test_restored_counters_stay_exact_under_churn(self, core):
+        # snapshots carry the counters; a restore (and a fork of it) must
+        # keep them equal to A·Aᵀ as churn continues on both
+        origin = AdHocDigraph(core=core)
+        _random_trace([origin], seed=3, steps=40, check=lambda *_: None)
+        restored = AdHocDigraph.restore(origin.snapshot(), core=core)
+        graphs = [restored, restored.fork()]
+        _assert_witnesses_exact(graphs, origin.node_ids())
+        _random_trace(
+            graphs,
+            seed=4,
+            steps=30,
+            check=_assert_witnesses_exact,
+            first_id=1000,
+            alive=origin.node_ids(),
+        )
+
+    def test_bulk_join_counters_are_exact(self):
+        rng = np.random.default_rng(8)
+        g = AdHocDigraph(core="sparse")
+        xs, ys = rng.uniform(0, 120, size=(2, 80))
+        g.bulk_join(
+            NodeConfig(i + 1, float(x), float(y), float(rng.uniform(5, 40)))
+            for i, (x, y) in enumerate(zip(xs, ys))
+        )
+        _assert_witnesses_exact([g], g.node_ids())
+
 
 class TestBulkJoin:
     def _configs(self, n, seed, area=300.0):
@@ -521,3 +561,19 @@ class TestCoreSelection:
         monkeypatch.delenv("REPRO_CORE")
         with pytest.raises(ConfigurationError, match="core"):
             AdHocDigraph(core="dict")
+
+    @pytest.mark.parametrize("value", ["false", "0", "dict", "grid", "sparse-scalar"])
+    def test_retired_spellings_are_rejected_everywhere(self, value, monkeypatch):
+        # the old boolean knobs and the deleted cores' names must fail
+        # loudly rather than silently select a core
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+        snap = AdHocDigraph(core="array").snapshot()
+        with pytest.raises(ConfigurationError, match="core"):
+            AdHocDigraph(core=value)
+        with pytest.raises(ConfigurationError, match="core"):
+            AdHocDigraph.restore(snap, core=value)
+        monkeypatch.setenv("REPRO_CORE", value)
+        with pytest.raises(ConfigurationError, match="REPRO_CORE"):
+            AdHocDigraph.restore(snap)
+        with pytest.raises(ConfigurationError, match="REPRO_CORE"):
+            default_core(10)

@@ -18,13 +18,22 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.events.base import JoinEvent, LeaveEvent, MoveEvent, PowerChangeEvent
 from repro.sim.random_networks import sample_configs
+from repro.topology import digraph as digraph_mod
 from repro.topology.digraph import AdHocDigraph
 
-CORES = ("array", "dense", "sparse")
+#: ``promoted`` is an unpinned graph whose array core hands off to a
+#: sparse core built from it once the population reaches ``PROMOTE_AT``
+#: (lowered from the production threshold so small graphs cross it).
+CORES = ("array", "dense", "sparse", "promoted")
+PROMOTE_AT = 12
 
 
-def make_graph(core: str) -> AdHocDigraph:
-    return AdHocDigraph(core=core)
+def make_graph(core: str, monkeypatch: pytest.MonkeyPatch | None = None) -> AdHocDigraph:
+    if core != "promoted":
+        return AdHocDigraph(core=core)
+    monkeypatch.delenv("REPRO_CORE", raising=False)
+    monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", PROMOTE_AT)
+    return AdHocDigraph()
 
 
 def canonical(graph: AdHocDigraph) -> str:
@@ -54,9 +63,9 @@ def churn_round(graph, rng, live, next_id, *, leaves=2, joins=2, moves=5):
 
 class TestDeltaRoundTrips:
     @pytest.mark.parametrize("core", CORES)
-    def test_single_delta_is_byte_identical(self, core):
+    def test_single_delta_is_byte_identical(self, core, monkeypatch):
         rng = np.random.default_rng(5)
-        g = make_graph(core)
+        g = make_graph(core, monkeypatch)
         for cfg in sample_configs(30, rng):
             g.apply_event(JoinEvent(cfg))
         shadow = g.copy()
@@ -67,11 +76,11 @@ class TestDeltaRoundTrips:
         assert canonical(shadow) == canonical(g)
 
     @pytest.mark.parametrize("core", CORES)
-    def test_chained_deltas_compose(self, core):
+    def test_chained_deltas_compose(self, core, monkeypatch):
         # the checkpoint-chain lifecycle: every round's delta is cut
         # against the previous round's version and applied in order
         rng = np.random.default_rng(17)
-        g = make_graph(core)
+        g = make_graph(core, monkeypatch)
         cfgs = sample_configs(40, rng)
         for cfg in cfgs:
             g.apply_event(JoinEvent(cfg))
@@ -115,6 +124,27 @@ class TestDeltaRoundTrips:
             assert set(shadow.conflict_neighbor_ids(nid)) == set(
                 fresh.conflict_neighbor_ids(nid)
             )
+
+    def test_delta_cut_across_the_promotion(self, monkeypatch):
+        # the base sits below the threshold (array core), the head above
+        # it (sparse core): the delta is core-independent slot state, so
+        # the array-core shadow lands on the promoted graph's bytes
+        rng = np.random.default_rng(41)
+        g = make_graph("promoted", monkeypatch)
+        cfgs = sample_configs(PROMOTE_AT + 8, rng)
+        for cfg in cfgs[: PROMOTE_AT - 2]:
+            g.apply_event(JoinEvent(cfg))
+        shadow = AdHocDigraph.restore(g.snapshot(), core="array")
+        base = g.version
+        for cfg in cfgs[PROMOTE_AT - 2 :]:
+            g.apply_event(JoinEvent(cfg))
+        live = [c.node_id for c in cfgs]
+        churn_round(g, rng, live, max(live) + 1)
+        assert g.core == "sparse" and shadow.core == "array"
+        shadow.apply_delta(json.loads(json.dumps(g.delta_snapshot(base))))
+        assert canonical(shadow) == canonical(g)
+        for nid in live[:10]:
+            assert shadow.conflict_neighbor_ids(nid) == g.conflict_neighbor_ids(nid)
 
     def test_empty_delta_advances_the_version_only(self):
         g = make_graph("array")
@@ -162,9 +192,9 @@ class TestDeltaValidation:
 
 class TestCopyOnWriteFork:
     @pytest.mark.parametrize("core", CORES)
-    def test_child_mutations_never_leak_into_the_parent(self, core):
+    def test_child_mutations_never_leak_into_the_parent(self, core, monkeypatch):
         rng = np.random.default_rng(9)
-        g = make_graph(core)
+        g = make_graph(core, monkeypatch)
         for cfg in sample_configs(20, rng):
             g.apply_event(JoinEvent(cfg))
         before = canonical(g)
@@ -174,9 +204,9 @@ class TestCopyOnWriteFork:
         assert canonical(g) == before
 
     @pytest.mark.parametrize("core", CORES)
-    def test_parent_mutations_never_leak_into_the_child(self, core):
+    def test_parent_mutations_never_leak_into_the_child(self, core, monkeypatch):
         rng = np.random.default_rng(9)
-        g = make_graph(core)
+        g = make_graph(core, monkeypatch)
         for cfg in sample_configs(20, rng):
             g.apply_event(JoinEvent(cfg))
         child = g.fork()
@@ -184,6 +214,25 @@ class TestCopyOnWriteFork:
         g.apply_event(MoveEvent(int(g.node_ids()[0]), 2.0, 2.0))
         g.apply_event(PowerChangeEvent(int(g.node_ids()[1]), 30.0))
         assert canonical(child) == frozen
+
+    def test_promotion_on_one_side_of_a_fork(self, monkeypatch):
+        # forked below the threshold: the child crossing it swaps in its
+        # own sparse core, leaving the parent's array core untouched
+        rng = np.random.default_rng(13)
+        g = make_graph("promoted", monkeypatch)
+        cfgs = sample_configs(PROMOTE_AT + 4, rng)
+        for cfg in cfgs[: PROMOTE_AT - 1]:
+            g.apply_event(JoinEvent(cfg))
+        before = canonical(g)
+        child = g.fork()
+        for cfg in cfgs[PROMOTE_AT - 1 :]:
+            child.apply_event(JoinEvent(cfg))
+        assert child.core == "sparse" and g.core == "array"
+        assert canonical(g) == before
+        for cfg in cfgs[PROMOTE_AT - 1 :]:
+            g.apply_event(JoinEvent(cfg))
+        assert g.core == "sparse"
+        assert canonical(g) == canonical(child)
 
     def test_fork_then_diverge_then_delta_each_side(self):
         # both sides of a fork stay valid delta producers: deltas cut

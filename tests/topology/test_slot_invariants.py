@@ -16,10 +16,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.topology import digraph as digraph_mod
 from repro.topology.digraph import AdHocDigraph
 from repro.topology.node import NodeConfig
 
-CORES = ("array", "dense", "sparse")
+#: ``promoted`` is an unpinned graph whose array core hands off to a
+#: sparse core built from it once the population reaches ``PROMOTE_AT``
+#: (lowered from the production threshold so the churn crosses it).
+CORES = ("array", "dense", "promoted", "sparse")
+PROMOTE_AT = 6
+
+
+def _make_graph(core: str, monkeypatch: pytest.MonkeyPatch) -> AdHocDigraph:
+    if core != "promoted":
+        return AdHocDigraph(core=core)
+    monkeypatch.delenv("REPRO_CORE", raising=False)
+    monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", PROMOTE_AT)
+    return AdHocDigraph()
 
 
 def _check_slot_tables(g: AdHocDigraph) -> None:
@@ -100,8 +113,8 @@ def _check_all(g: AdHocDigraph) -> None:
 class TestSlotInvariantsUnderChurn:
     @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_churn_preserves_invariants(self, core, seed):
-        g = AdHocDigraph(core=core)
+    def test_random_churn_preserves_invariants(self, core, seed, monkeypatch):
+        g = _make_graph(core, monkeypatch)
         rng = np.random.default_rng(seed)
         alive: list[int] = []
         next_id = 1
@@ -129,14 +142,17 @@ class TestSlotInvariantsUnderChurn:
                 g.set_range(v, float(rng.uniform(5, 45)))
             _check_all(g)
         assert sorted(g.node_ids()) == sorted(alive)
+        if core == "promoted":
+            assert g.core == "sparse"  # the churn crossed the threshold
 
     @pytest.mark.parametrize("core", sorted(CORES))
-    def test_remove_last_slot_and_drain_to_empty(self, core):
+    def test_remove_last_slot_and_drain_to_empty(self, core, monkeypatch):
         # the i == last branch (no swap), then drain through repeated
         # swap-deletes of slot 0, then rebuild on the emptied tables
-        g = AdHocDigraph(core=core)
+        g = _make_graph(core, monkeypatch)
         for i in range(1, 13):
             g.add_node(NodeConfig(i, float(3 * i), float(2 * i), 20.0))
+        assert g.core == ("sparse" if core == "promoted" else core)
         g.remove_node(12)  # departing node *is* the last slot
         _check_all(g)
         while g.node_ids():
