@@ -1,7 +1,7 @@
 """Figure rendering from a results store (optional matplotlib).
 
 :func:`panels_to_figure` turns the assembled series of a results store
-— JSON directory or SQLite file alike — into one matplotlib figure of
+into one matplotlib figure of
 mean ± stderr panels, with **no recomputation**: everything drawn was
 persisted by a previous ``run_sweep(..., store=...)``.  matplotlib is
 an optional dependency; when it is absent the entry points raise a

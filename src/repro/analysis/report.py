@@ -5,9 +5,8 @@ plus their shape-check verdicts into the paper-vs-measured markdown that
 ``EXPERIMENTS.md`` records.  Used by the CLI's ``--out`` mode and by the
 maintainer script that refreshes the committed report.  Panels can be
 built from live series or loaded back out of a sweep's
-:class:`~repro.sim.results.ResultsBackend` — JSON directory or SQLite
-file alike (:func:`panels_from_store`), so reports are reproducible
-from persisted artifacts alone.
+:class:`~repro.sim.results.SqliteBackend` (:func:`panels_from_store`),
+so reports are reproducible from persisted artifacts alone.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.analysis.series import ExperimentSeries
 from repro.analysis.shape_checks import ShapeCheck
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.sim.results import ResultsBackend
+    from repro.sim.results import SqliteBackend
 
 __all__ = ["PanelReport", "panels_from_store", "render_report"]
 
@@ -56,7 +55,7 @@ class PanelReport:
 
 
 def panels_from_store(
-    store: "ResultsBackend",
+    store: "SqliteBackend",
     panel_specs: Sequence[tuple[str, str, str, str]],
 ) -> list[PanelReport]:
     """Build panels from a results store instead of in-memory series.

@@ -19,7 +19,6 @@ Usage (installed as ``minim-cdma`` or via ``python -m repro``)::
     minim-cdma store export store.sqlite --csv points.csv
     minim-cdma store export store.sqlite --parquet points.parquet
     minim-cdma store compact results-store/
-    minim-cdma store migrate results-store/ store.sqlite
     minim-cdma bench --runs 3 --n 120
     minim-cdma scenario fig10-join --trace trace.jsonl
     minim-cdma report trace.jsonl
@@ -31,8 +30,8 @@ catalog; all five figure sweeps and every scenario route through the
 same unified orchestrator (:func:`repro.sim.sweep.run_sweep`), which
 replays each workload single-pass against all strategies.  With
 ``--results PATH`` completed sweep points are persisted to a results
-backend (JSON directory or SQLite file, sniffed from the path —
-``--store-backend`` forces one) and re-invocations resume from cache.
+store (an SQLite file; a directory means ``DIR/store.sqlite``) and
+re-invocations resume from cache.
 ``--executor worker`` publishes a sweep's tasks into the shared store
 so any number of ``minim-cdma worker`` processes (or hosts sharing the
 store) drain them concurrently.  ``--ci-target``/``--ci-abs`` switch a
@@ -44,8 +43,8 @@ task under the serial executor with full traceback and requeues it on
 success (``inspect KEY``), releases quarantined tasks back into the
 queue (``requeue``), dumps point-level rows (``export --csv`` /
 ``export --parquet``, the latter with sweep-level join columns, gated
-on pyarrow), folds a JSON directory into one SQLite table (``compact``)
-or copies between backends (``migrate``).  ``--trace PATH`` turns on
+on pyarrow), and vacuums the store or imports a legacy JSON-directory
+store into it (``compact``).  ``--trace PATH`` turns on
 the observability layer (:mod:`repro.obs`) for any sweep, worker, or
 bench invocation: phase/task spans, queue events, and conflict-core /
 timeline / store counters stream to a JSONL file (child processes
@@ -76,7 +75,7 @@ from repro.sim.experiments import (
     run_power_experiment,
     run_range_sweep_experiment,
 )
-from repro.sim.results import ResultsBackend, open_backend
+from repro.sim.results import SqliteBackend, open_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -96,14 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--results",
         type=Path,
         default=None,
-        help="results store (JSON directory or SQLite file; persists sweep "
-        "points and re-runs resume from cache)",
-    )
-    common.add_argument(
-        "--store-backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="results-backend kind (default: sniff from the --results path)",
+        help="results store (SQLite file, or a directory holding store.sqlite; "
+        "persists sweep points and re-runs resume from cache)",
     )
     common.add_argument(
         "--no-resume",
@@ -191,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("worker", help="drain sweep tasks from a shared results store")
     pw.add_argument("--results", type=Path, required=True, help="the shared results store")
     pw.add_argument(
-        "--store-backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="results-backend kind (default: sniff from the --results path)",
-    )
-    pw.add_argument(
         "--poll", type=float, default=0.2, help="seconds between queue scans (default 0.2)"
     )
     pw.add_argument(
@@ -223,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pst = sub.add_parser(
         "store",
-        help="inspect / watch / requeue / export / compact / migrate / gc a results store",
+        help="inspect / watch / requeue / export / compact / gc a results store",
     )
     pst.add_argument(
         "action",
@@ -235,31 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
             "requeue",
             "export",
             "compact",
-            "migrate",
             "gc",
             "ckpt",
         ),
     )
-    pst.add_argument("path", type=Path, help="the store (JSON directory or SQLite file)")
+    pst.add_argument(
+        "path", type=Path, help="the store (SQLite file, or a directory holding store.sqlite)"
+    )
     pst.add_argument(
         "dest",
         nargs="?",
         default=None,
-        metavar="DEST|KEY|SUB",
-        help="migration target (migrate), quarantined task key (inspect), "
-        "or checkpoint subaction 'ls'/'gc' (ckpt; default ls)",
-    )
-    pst.add_argument(
-        "--store-backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="backend kind of PATH (default: sniff)",
-    )
-    pst.add_argument(
-        "--dest-backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="backend kind of DEST (default: sniff)",
+        metavar="KEY|SUB",
+        help="quarantined task key (inspect), or checkpoint subaction "
+        "'ls'/'gc' (ckpt; default ls)",
     )
     pst.add_argument(
         "--interval", type=float, default=2.0, help="watch: seconds between snapshots (default 2)"
@@ -378,10 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _store_of(args: argparse.Namespace) -> ResultsBackend | None:
-    if args.results is None:
-        return None
-    return open_backend(args.results, getattr(args, "store_backend", "auto"))
+def _store_of(args: argparse.Namespace) -> SqliteBackend | None:
+    return None if args.results is None else open_backend(args.results)
 
 
 def _emit(series: ExperimentSeries, kind: str | None, out: Path | None) -> None:
@@ -638,9 +612,9 @@ def _run_worker_cmd(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.sim.executor import run_worker
 
-    backend = open_backend(args.results, args.store_backend)
-    print(f"worker draining {backend.kind} store {backend.locator}")
     try:
+        backend = open_backend(args.results)
+        print(f"worker draining {backend.kind} store {backend.locator}")
         computed = run_worker(
             backend,
             poll=args.poll,
@@ -657,10 +631,15 @@ def _run_worker_cmd(args: argparse.Namespace) -> int:
 
 def _run_store_cmd(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
-    from repro.sim.results import JsonDirBackend, migrate_store
+    from repro.sim.results import import_json_dir
 
-    backend = open_backend(args.path, args.store_backend)
     try:
+        imported = import_json_dir(args.path) if args.action == "compact" else None
+        if imported is not None:
+            points = len(imported.list_points())
+            print(f"compacted {points} point file(s) from {args.path} into {imported.locator}")
+            return 0
+        backend = open_backend(args.path)
         if args.action == "ls":
             info = backend.describe()
             print(f"{info['backend']} store {info['locator']}")
@@ -755,30 +734,10 @@ def _run_store_cmd(args: argparse.Namespace) -> int:
                 points = len(record.get("points") or ())
                 print(f"  {key}  base={base}  version={record.get('version')}  points={points}")
             return 0
-        if args.action == "compact":
-            if not isinstance(backend, JsonDirBackend):
-                pruned = backend.gc_checkpoints()["removed"]
-                backend.compact()
-                print(f"vacuumed {backend.locator} ({pruned} checkpoint link(s) pruned)")
-                return 0
-            points = len(backend.list_points())
-            compacted = backend.compact()
-            print(
-                f"compacted {points} point file(s) from {backend.locator} "
-                f"into {compacted.locator}"
-            )
-            return 0
-        # migrate
-        if args.dest is None:
-            print("error: migrate needs a DEST path", file=sys.stderr)
-            return 2
-        dest = open_backend(Path(args.dest), args.dest_backend)
-        counts = migrate_store(backend, dest)
-        print(
-            f"migrated {counts['points']} point(s), {counts['manifests']} "
-            f"manifest(s), {counts['series']} series from {backend.locator} "
-            f"({backend.kind}) to {dest.locator} ({dest.kind})"
-        )
+        # compact
+        pruned = backend.gc_checkpoints()["removed"]
+        backend.compact()
+        print(f"vacuumed {backend.locator} ({pruned} checkpoint link(s) pruned)")
         return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -837,7 +796,6 @@ def _run_figures(args: argparse.Namespace) -> int:
             processes=args.processes,
             out=args.out,
             results=args.results,
-            store_backend=args.store_backend,
             no_resume=args.no_resume,
             executor=args.executor,
             no_warm_start=args.no_warm_start,

@@ -10,7 +10,7 @@ context manager, cheap enough to live in the conflict-core hot paths
 the noise).
 
 Layering: this package imports nothing from the rest of ``repro``, so
-any layer — topology cores, timeline, results backends, executors —
+any layer — topology cores, timeline, results store, executors —
 may instrument itself without cycles.  See
 ``docs/architecture/observability.md`` for the span model and metric
 name tables.

@@ -1,6 +1,6 @@
 """Process-local metrics registry: counters, gauges, histograms.
 
-The hot layers (conflict cores, timeline, results backends) record
+The hot layers (conflict cores, timeline, results store) record
 cheap aggregate signals here — cache hits, bailouts, candidate-window
 sizes — and the tracer snapshots the registry into the trace file so
 ``minim-cdma report`` can compute ratios across a whole sweep.

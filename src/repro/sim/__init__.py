@@ -14,14 +14,7 @@ from repro.sim.monitor import StoreMonitor, StoreStats, export_csv
 from repro.sim.network import AdHocNetwork, MultiStrategyReplay, StrategyLane
 from repro.sim.random_networks import sample_configs
 from repro.sim.registry import available_scenarios, get_scenario, register_scenario
-from repro.sim.results import (
-    JsonDirBackend,
-    ResultsBackend,
-    ResultsStore,
-    SqliteBackend,
-    migrate_store,
-    open_backend,
-)
+from repro.sim.results import SqliteBackend, open_backend
 from repro.sim.rng import rng_from, spawn_seeds
 from repro.sim.scenarios import (
     ChurnSpec,
@@ -60,7 +53,6 @@ __all__ = [
     "ChurnSpec",
     "EventRecord",
     "Executor",
-    "JsonDirBackend",
     "MetricsCollector",
     "MetricsSnapshot",
     "MobilitySpec",
@@ -69,8 +61,6 @@ __all__ = [
     "PowerSpec",
     "PrecisionTarget",
     "ProcessExecutor",
-    "ResultsBackend",
-    "ResultsStore",
     "RunController",
     "ScenarioSpec",
     "SerialExecutor",
@@ -90,7 +80,6 @@ __all__ = [
     "export_csv",
     "get_scenario",
     "join_workload",
-    "migrate_store",
     "movement_rounds",
     "open_backend",
     "plan_additional_tasks",

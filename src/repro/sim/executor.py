@@ -47,7 +47,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.sim.results import DEFAULT_CLAIM_TTL, ResultsBackend, open_backend
+from repro.sim.results import DEFAULT_CLAIM_TTL, SqliteBackend, open_backend
 from repro.sim.runner import parallel_map
 from repro.sim.scenarios import ScenarioSpec, scenario_from_dict
 from repro.sim.timeline import compute_group as _compute_group_timeline
@@ -199,18 +199,15 @@ def group_from_payload(payload: dict) -> TaskGroup:
 # ----------------------------------------------------------------------
 # Computation kernel (runs in orchestrators, pool processes and workers)
 # ----------------------------------------------------------------------
-def _ckpt_scope(backend: "ResultsBackend | None", group: "TaskGroup"):
+def _ckpt_scope(backend: "SqliteBackend | None", group: "TaskGroup"):
     """The checkpoint write-through scope for one group, or ``None``.
 
-    Store-backed checkpointing defaults **on** whenever a results
-    backend is present and the group is warm (cold groups and
-    singletons never serialize boundaries); ``REPRO_CKPT_STORE=0``
-    turns it off fleet-wide.  Links are stamped with the group's point
+    Store-backed checkpointing is on whenever a results store is
+    present and the group is warm (cold groups and singletons never
+    serialize boundaries).  Links are stamped with the group's point
     keys so ``store gc`` can tie them back to live sweep manifests.
     """
     if backend is None or not group.warm:
-        return None
-    if os.environ.get("REPRO_CKPT_STORE", "").strip().lower() in ("0", "off", "false", "no"):
         return None
     from repro.sim.results import CheckpointScope
 
@@ -252,22 +249,25 @@ def compute_group(group: TaskGroup, on_member=None, store=None) -> list[list]:
         )
 
 
-def _provenance(context: dict, worker: str) -> dict:
-    """Stamp execution provenance onto a planned task context.
+def _provenance(group: TaskGroup, m: int, worker: str) -> dict:
+    """Member ``m``'s planned context stamped with execution provenance.
 
     Adds *who* computed the point, *when* it landed, and which conflict
-    core (``array`` / ``sparse`` / ``dense``) the executing process ran —
-    the cores are byte-identical by contract, so the stamp is an audit
-    trail for that claim, not a result discriminator.  The monitor's
-    per-worker throughput view and ``store export`` read these back; the
-    planned part of the context (scenario, sweep value, run, seed) stays
-    untouched, so point keys and results are unaffected.
+    core (``array`` / ``sparse`` / ``dense``) the executing process ran
+    for the point's population (so an auto-promoted large point records
+    ``sparse``) — the cores are byte-identical by contract, so
+    the stamp is an audit trail for that claim, not a result
+    discriminator.  The monitor's per-worker throughput view and
+    ``store export`` read these back; the planned part of the context
+    (scenario, sweep value, run, seed) stays untouched, so point keys
+    and results are unaffected.
     """
-    return {**context, "worker": worker, "saved_at": time.time(), "core": default_core()}
+    core = default_core(group.points[m].n)
+    return {**group.contexts[m], "worker": worker, "saved_at": time.time(), "core": core}
 
 
 def _claimed_compute(
-    backend: ResultsBackend, group: TaskGroup, gkey: str, owner: str
+    backend: SqliteBackend, group: TaskGroup, gkey: str, owner: str
 ) -> list[list]:
     """Compute a claimed group, persisting and renewing as members land.
 
@@ -278,7 +278,7 @@ def _claimed_compute(
     """
 
     def landed(m: int, out: list) -> None:
-        backend.save_point(group.keys[m], out, context=_provenance(group.contexts[m], owner))
+        backend.save_point(group.keys[m], out, context=_provenance(group, m, owner))
         backend.renew_claim(gkey, owner)
         obs.event("queue.lease_renew", cat="queue", key=gkey, owner=owner)
 
@@ -302,31 +302,15 @@ def _execute_group_task(args: tuple) -> list[list]:
         outs = compute_group(group)
         obs.flush_metrics()  # pool workers may be torn down without atexit
         return outs
-    backend = _reopen(locator)
+    backend = open_backend(locator)
     worker = f"proc-{os.getpid()}"
 
     def landed(m: int, out: list) -> None:
-        backend.save_point(group.keys[m], out, context=_provenance(group.contexts[m], worker))
+        backend.save_point(group.keys[m], out, context=_provenance(group, m, worker))
 
     outs = compute_group(group, on_member=landed, store=_ckpt_scope(backend, group))
     obs.flush_metrics()  # pool workers may be torn down without atexit
     return outs
-
-
-def _reopen(locator: tuple[str, str]) -> ResultsBackend:
-    """Re-open the orchestrator's backend in a child process.
-
-    The locator carries the backend *kind* alongside the path, so a
-    forced kind (``open_backend(path, "json")`` on a ``.sqlite``-named
-    directory, say) survives the round trip instead of being re-sniffed
-    into the wrong backend.
-    """
-    path, kind = locator
-    return open_backend(path, kind)
-
-
-def _locator_of(backend: ResultsBackend | None) -> tuple[str, str] | None:
-    return None if backend is None else (backend.locator, backend.kind)
 
 
 def _collect(groups: Sequence[TaskGroup], outs_per_group) -> dict[tuple[int, int], list]:
@@ -359,7 +343,7 @@ class Executor(Protocol):
         self,
         groups: Sequence[TaskGroup],
         *,
-        backend: ResultsBackend | None,
+        backend: SqliteBackend | None,
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
         """Compute all groups; return ``{(point, run): result}``."""
@@ -375,11 +359,11 @@ class SerialExecutor:
         self,
         groups: Sequence[TaskGroup],
         *,
-        backend: ResultsBackend | None,
+        backend: SqliteBackend | None,
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
         """Run each group through the shared payload round-trip, serially."""
-        locator = _locator_of(backend)
+        locator = None if backend is None else backend.locator
         outs = [_execute_group_task((group_payload(g), locator)) for g in groups]
         return _collect(groups, outs)
 
@@ -403,11 +387,11 @@ class ProcessExecutor:
         self,
         groups: Sequence[TaskGroup],
         *,
-        backend: ResultsBackend | None,
+        backend: SqliteBackend | None,
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
         """Map groups over the pool; order (and results) are deterministic."""
-        locator = _locator_of(backend)
+        locator = None if backend is None else backend.locator
         tasks = [(group_payload(g), locator) for g in groups]
         outs = parallel_map(_execute_group_task, tasks, processes=self.processes)
         return _collect(groups, outs)
@@ -418,7 +402,7 @@ class WorkerExecutor:
 
     ``execute`` publishes every pending group as a task descriptor in
     the results backend, then participates in the drain itself: it
-    repeatedly claims unowned tasks (lease files / lease rows with a
+    repeatedly claims unowned tasks (lease rows with a
     TTL) and computes them, while collecting points that external
     ``minim-cdma worker`` processes save concurrently.  Any number of
     workers — other processes, other hosts sharing the store — can join
@@ -468,7 +452,7 @@ class WorkerExecutor:
         self,
         groups: Sequence[TaskGroup],
         *,
-        backend: ResultsBackend | None,
+        backend: SqliteBackend | None,
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
         """Publish groups to the store queue and drain until complete.
@@ -553,7 +537,7 @@ class WorkerExecutor:
         return results
 
 
-def _load_group_points(backend: ResultsBackend, group: TaskGroup) -> list[list] | None:
+def _load_group_points(backend: SqliteBackend, group: TaskGroup) -> list[list] | None:
     """All member results if every one is stored, else ``None``."""
     outs: list[list] = []
     for key in group.keys:
@@ -565,7 +549,7 @@ def _load_group_points(backend: ResultsBackend, group: TaskGroup) -> list[list] 
 
 
 def _maybe_quarantine(
-    backend: ResultsBackend,
+    backend: SqliteBackend,
     gkey: str,
     quarantine_after: int,
     *,
@@ -612,7 +596,7 @@ class _HeartbeatClock:
         self.every = max(claim_ttl / 3.0, 0.05)
         self._last: float | None = None
 
-    def maybe_beat(self, backend: ResultsBackend, owner: str) -> None:
+    def maybe_beat(self, backend: SqliteBackend, owner: str) -> None:
         now = time.monotonic()
         if self._last is not None and now - self._last < self.every:
             return
@@ -625,7 +609,7 @@ class _HeartbeatClock:
 # The worker loop (``minim-cdma worker``)
 # ----------------------------------------------------------------------
 def run_worker(
-    backend: ResultsBackend,
+    backend: SqliteBackend,
     *,
     poll: float = 0.2,
     max_idle: float = 10.0,

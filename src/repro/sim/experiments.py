@@ -15,7 +15,7 @@ Every data point is averaged over ``runs`` independent random networks
 (paper: 100; default here: 5, overridable via the ``REPRO_RUNS``
 environment variable or the ``runs`` argument).  Workloads are generated
 once per run and replayed identically against every strategy; passing a
-:class:`~repro.sim.results.ResultsStore` makes re-invocations resume
+:class:`~repro.sim.results.SqliteBackend` store makes re-invocations resume
 from completed points.
 """
 
@@ -30,7 +30,7 @@ from repro.sim.control import PrecisionTarget, RunController
 from repro.sim.random_networks import DEFAULT_MAX_RANGE, DEFAULT_MIN_RANGE
 from repro.sim.executor import Executor
 from repro.sim.registry import get_scenario
-from repro.sim.results import ResultsBackend
+from repro.sim.results import SqliteBackend
 from repro.sim.scenarios import MobilitySpec, PowerSpec
 from repro.sim.sweep import run_sweep
 
@@ -63,7 +63,7 @@ def run_join_experiment(
     seed: int = _DEFAULT_SEED,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     processes: int | None = None,
-    store: ResultsBackend | None = None,
+    store: SqliteBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
     warm_start: bool | None = None,
@@ -99,7 +99,7 @@ def run_range_sweep_experiment(
     seed: int = _DEFAULT_SEED,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     processes: int | None = None,
-    store: ResultsBackend | None = None,
+    store: SqliteBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
     warm_start: bool | None = None,
@@ -152,7 +152,7 @@ def run_power_experiment(
     seed: int = _DEFAULT_SEED,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     processes: int | None = None,
-    store: ResultsBackend | None = None,
+    store: SqliteBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
     warm_start: bool | None = None,
@@ -201,7 +201,7 @@ def run_movement_disp_experiment(
     seed: int = _DEFAULT_SEED,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     processes: int | None = None,
-    store: ResultsBackend | None = None,
+    store: SqliteBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
     warm_start: bool | None = None,
@@ -245,7 +245,7 @@ def run_movement_rounds_experiment(
     seed: int = _DEFAULT_SEED,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     processes: int | None = None,
-    store: ResultsBackend | None = None,
+    store: SqliteBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
     warm_start: bool | None = None,

@@ -4,23 +4,23 @@ An operator running a worker fleet against a shared store previously
 had no view into the drain: which tasks are pending, who holds claims
 and for how long, which workers are actually producing points, and
 whether anything got quarantined.  :class:`StoreMonitor` answers all of
-that from the :class:`~repro.sim.results.ResultsBackend` alone — no
+that from the :class:`~repro.sim.results.SqliteBackend` alone — no
 side channel to the workers — powering ``minim-cdma store stats`` (one
 snapshot) and ``store watch`` (a polling loop).
 
 Two data sources feed a snapshot:
 
 * the backend's cheap aggregates
-  (:meth:`~repro.sim.results.ResultsBackend.claim_info`, quarantine
+  (:meth:`~repro.sim.results.SqliteBackend.claim_info`, quarantine
   listings, break counters and key counts — each fetched once per
-  snapshot; :meth:`~repro.sim.results.ResultsBackend.queue_stats` is
+  snapshot; :meth:`~repro.sim.results.SqliteBackend.queue_stats` is
   the one-call programmatic equivalent): task, claim, quarantine and
   lease-break counts plus claim owners/ages — safe to poll every
   second on large stores;
 * the point records' provenance contexts (``worker`` / ``saved_at``,
   stamped by the execution layer as each point lands), from which
   per-worker throughput is derived, joined with the workers' heartbeat
-  stamps (:meth:`~repro.sim.results.ResultsBackend.heartbeats`) so a
+  stamps (:meth:`~repro.sim.results.SqliteBackend.heartbeats`) so a
   worker whose last beat is older than the lease TTL is flagged
   ``STALE``.  This walks every point record, so
   :meth:`StoreMonitor.stats` can skip it with ``workers=False`` and
@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.errors import ConfigurationError
-from repro.sim.results import DEFAULT_CLAIM_TTL, ResultsBackend
+from repro.sim.results import DEFAULT_CLAIM_TTL, SqliteBackend
 
 __all__ = [
     "StoreMonitor",
@@ -100,7 +100,7 @@ class WorkerStats:
     """Throughput of one worker, derived from point provenance.
 
     ``heartbeat_age`` is seconds since the worker's last heartbeat
-    stamp (:meth:`~repro.sim.results.ResultsBackend.record_heartbeat`),
+    stamp (:meth:`~repro.sim.results.SqliteBackend.record_heartbeat`),
     or ``None`` for workers that never stamped one (pre-heartbeat
     fleets, or points saved outside a worker loop); ``stale`` flags a
     heartbeat older than the lease TTL — a live worker beats every
@@ -196,7 +196,7 @@ class StoreMonitor:
     monitor's default matches the executors').
     """
 
-    def __init__(self, backend: ResultsBackend, *, lease_ttl: float = DEFAULT_CLAIM_TTL) -> None:
+    def __init__(self, backend: SqliteBackend, *, lease_ttl: float = DEFAULT_CLAIM_TTL) -> None:
         self.backend = backend
         self.lease_ttl = lease_ttl
 
@@ -207,7 +207,7 @@ class StoreMonitor:
         throughput and nothing else), keeping the snapshot cheap on
         very large stores.  Claim and quarantine state are fetched
         exactly once and handed to
-        :meth:`~repro.sim.results.ResultsBackend.queue_stats` for the
+        :meth:`~repro.sim.results.SqliteBackend.queue_stats` for the
         aggregate counts — one snapshot never pays the backend twice
         for the same scan, and SQLite keeps its single-connection count
         path.
@@ -348,8 +348,8 @@ def _csv_rows_for_point(key: str, record: dict):
             }
 
 
-def export_csv(backend: ResultsBackend, out: Path | str | IO[str]) -> int:
-    """Dump point-level rows from any backend as CSV; returns row count.
+def export_csv(backend: SqliteBackend, out: Path | str | IO[str]) -> int:
+    """Dump point-level rows from the store as CSV; returns row count.
 
     Columns are :data:`CSV_COLUMNS`.  For absolute/delta measures the
     metric columns hold the point's triple (deltas for delta measures —
@@ -365,7 +365,7 @@ def export_csv(backend: ResultsBackend, out: Path | str | IO[str]) -> int:
         return _write_csv(backend, fh)
 
 
-def _write_csv(backend: ResultsBackend, fh: IO[str]) -> int:
+def _write_csv(backend: SqliteBackend, fh: IO[str]) -> int:
     writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
     writer.writeheader()
     rows = 0
@@ -385,7 +385,7 @@ def _write_csv(backend: ResultsBackend, fh: IO[str]) -> int:
 PARQUET_SWEEP_COLUMNS = ("sweep_key", "sweep_runs", "sweep_seed", "sweep_executor", "sweep_core")
 
 
-def _sweep_join_index(backend: ResultsBackend) -> dict[str, dict]:
+def _sweep_join_index(backend: SqliteBackend) -> dict[str, dict]:
     """``{point key: sweep-level join columns}`` from the manifests.
 
     A point computed under several manifests (an adaptive re-plan of the
@@ -437,7 +437,7 @@ _PARQUET_TYPES = {
 }
 
 
-def export_parquet(backend: ResultsBackend, out: Path | str, *, batch_rows: int = 10_000) -> int:
+def export_parquet(backend: SqliteBackend, out: Path | str, *, batch_rows: int = 10_000) -> int:
     """Stream point-level rows into a Parquet table; returns the row count.
 
     The columnar step up from :func:`export_csv`: same per-row shape
@@ -492,7 +492,7 @@ def export_parquet(backend: ResultsBackend, out: Path | str, *, batch_rows: int 
 # Quarantine triage (``store inspect``)
 # ----------------------------------------------------------------------
 def inspect_quarantined(
-    backend: ResultsBackend, key: str, *, stream: IO[str] | None = None
+    backend: SqliteBackend, key: str, *, stream: IO[str] | None = None
 ) -> dict:
     """Replay a quarantined task group serially; requeue it on success.
 

@@ -1,7 +1,7 @@
-"""Pluggable results backends for experiment sweeps.
+"""The results store of experiment sweeps.
 
-A sweep persists four kinds of artifact through one
-:class:`ResultsBackend`:
+A sweep persists its artifacts through one :class:`SqliteBackend`, a
+single stdlib-``sqlite3`` file holding every artifact kind as a table:
 
 * **points** — one artifact per (sweep point, run), keyed by a content
   hash of the fully resolved point spec plus the run's seed.  Because
@@ -28,38 +28,31 @@ A sweep persists four kinds of artifact through one
   because keys commit to the whole event prefix, any process or host
   that hits a stored key resumes the shared prefix instead of
   replaying it.  ``store ckpt <path> ls/gc`` lists and prunes the
-  table; :meth:`~ResultsBackend.gc_checkpoints` keeps only links some
+  table; :meth:`~SqliteBackend.gc_checkpoints` keeps only links some
   live manifest's points reference.
 * **churn + quarantine** — the control plane's health state: per-task
-  lease-break counters (bumped whenever :meth:`~ResultsBackend.try_claim`
+  lease-break counters (bumped whenever :meth:`~SqliteBackend.try_claim`
   breaks a stale lease) and a quarantine table holding descriptors that
   churned too often or failed to decode, so one poison task stops being
   re-claimed forever.  ``minim-cdma store stats`` surfaces both and
   ``store requeue`` releases quarantined tasks back into the queue.
 
-Two backends implement the interface:
-
-* :class:`JsonDirBackend` (the historical ``ResultsStore``) — plain
-  JSON files under one root directory, rsyncable and diffable with
-  ordinary tools.  Claims are ``O_EXCL`` lease files.
-* :class:`SqliteBackend` — one stdlib-``sqlite3`` file holding every
-  artifact kind as a table, for sweeps with 10⁴+ points where a
-  directory of tiny JSON files stops scaling.  Claims are
-  ``INSERT OR IGNORE`` rows.
-
-:func:`open_backend` resolves a path (or locator string) to the right
-backend, :func:`migrate_store` copies any backend into any other, and
-:meth:`JsonDirBackend.compact` folds a JSON directory store into a
-single SQLite table in place.
+:func:`open_backend` resolves a path (or a store's locator string) to
+the store: a file path names the database itself, and a directory (or
+a suffix-less path that does not exist yet) resolves to
+``DIR/store.sqlite``.  Directories written by the retired
+one-JSON-file-per-artifact layout are refused rather than opened as an
+empty store; :func:`import_json_dir` (``minim-cdma store compact DIR``)
+imports them once into ``DIR/store.sqlite``.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sqlite3
 import time
 from collections.abc import Iterator, Sequence
@@ -77,11 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 
 __all__ = [
     "CheckpointScope",
-    "JsonDirBackend",
-    "ResultsBackend",
-    "ResultsStore",
     "SqliteBackend",
-    "migrate_store",
+    "import_json_dir",
     "open_backend",
     "point_key",
     "seed_token",
@@ -96,10 +86,24 @@ _SCHEMA_VERSION = 1
 #: (its worker died) and may be re-claimed by anyone.
 DEFAULT_CLAIM_TTL = 60.0
 
-#: The SQLite file a compacted JSON store folds into (and the marker
-#: :func:`open_backend` sniffs to route a directory to SQLite).
+#: The database file a directory locator resolves to.
 _SQLITE_BASENAME = "store.sqlite"
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: Subdirectories of the retired JSON-directory layout, and the
+#: artifact table each importable one maps to (queue state — tasks,
+#: claims, churn, quarantine, heartbeats — and the counter row are
+#: transient and are dropped by the import).
+_JSON_TABLES = {"points": "points", "sweeps": "manifests", "series": "series"}
+_JSON_SUBDIRS = (
+    *_JSON_TABLES,
+    "checkpoints",
+    "tasks",
+    "claims",
+    "churn",
+    "quarantine",
+    "heartbeats",
+    "meta",
+)
 
 
 def _canonical(obj: Any) -> str:
@@ -141,544 +145,20 @@ def point_key(point_spec: "ScenarioSpec", seed) -> str:
     return spec_digest(point_spec, extra={"seed": seed_token(seed)})
 
 
-class ResultsBackend(abc.ABC):
-    """Storage interface every sweep artifact flows through.
-
-    Concrete backends implement the raw record operations; the shared
-    point/series conveniences (payload wrapping, missing-series errors,
-    content keys) live here so all backends behave identically.
-    """
-
-    #: String that re-opens this backend in another process via
-    #: :func:`open_backend` (a directory for JSON, a file for SQLite).
-    locator: str
-
-    #: Short backend kind tag (``"json"`` / ``"sqlite"``).
-    kind: str
-
-    # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
-    def point_key(self, point_spec: "ScenarioSpec", seed) -> str:
-        """The artifact key of one (resolved point spec, run seed) pair."""
-        return point_key(point_spec, seed)
-
-    # ------------------------------------------------------------------
-    # Point artifacts
-    # ------------------------------------------------------------------
-    def load_point(self, key: str) -> Any | None:
-        """The stored result payload for ``key``, or ``None`` if absent."""
-        record = self.load_point_record(key)
-        if _met.ENABLED:
-            _met.REGISTRY.inc("store.point.hit" if record is not None else "store.point.miss")
-        if record is None:
-            return None
-        try:
-            return record["result"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"corrupt results artifact {self.point_locator(key)}: {exc}"
-            ) from exc
-
-    def save_point(self, key: str, result: Any, *, context: dict | None = None) -> None:
-        """Persist one point result (with provenance context) atomically.
-
-        Saves are idempotent: the key is a content hash of the
-        computation, so concurrent workers racing the same point write
-        identical payloads and last-write-wins is safe.
-        """
-        self.save_point_record(
-            key, {"schema": _SCHEMA_VERSION, "context": context or {}, "result": result}
-        )
-        if _met.ENABLED:
-            _met.REGISTRY.inc("store.point.write")
-
-    def load_points(self, keys: "list[str]") -> dict[str, Any]:
-        """``{key: result}`` for every stored key in ``keys``.
-
-        Absent keys are omitted.  The batched cache probe of the claim
-        stage and the worker drain loop; backends with a cheaper bulk
-        path (SQLite) override the default per-key loop.
-        """
-        out: dict[str, Any] = {}
-        for key in keys:
-            result = self.load_point(key)
-            if result is not None:
-                out[key] = result
-        return out
-
-    def point_locator(self, key: str) -> str:
-        """Human-readable location of one point artifact (error messages)."""
-        return f"{self.locator}::points/{key}"
-
-    @abc.abstractmethod
-    def load_point_record(self, key: str) -> dict | None:
-        """The full stored record for ``key`` (schema/context/result)."""
-
-    @abc.abstractmethod
-    def save_point_record(self, key: str, record: dict) -> None:
-        """Persist one full point record atomically."""
-
-    @abc.abstractmethod
-    def list_points(self) -> list[str]:
-        """All stored point keys, ascending (compaction / migration)."""
-
-    # ------------------------------------------------------------------
-    # Sweep manifests
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def save_manifest(self, sweep_key: str, manifest: dict) -> None:
-        """Persist a sweep's run manifest."""
-
-    @abc.abstractmethod
-    def load_manifest(self, sweep_key: str) -> dict | None:
-        """The manifest for ``sweep_key``, or ``None`` if absent."""
-
-    @abc.abstractmethod
-    def list_manifests(self) -> list[str]:
-        """All stored sweep keys, ascending."""
-
-    # ------------------------------------------------------------------
-    # Assembled series
-    # ------------------------------------------------------------------
-    def save_series(self, series: "ExperimentSeries") -> None:
-        """Persist an assembled series under its experiment id."""
-        self.save_series_dict(series.experiment, series.to_dict())
-
-    def load_series(self, experiment_id: str) -> "ExperimentSeries":
-        """Load a previously assembled series by experiment id."""
-        from repro.analysis.series import ExperimentSeries
-
-        data = self.load_series_dict(experiment_id)
-        if data is None:
-            known = self.list_series()
-            raise ConfigurationError(
-                f"no stored series {experiment_id!r} under {self.locator} "
-                f"(stored: {', '.join(known) or '<none>'})"
-            )
-        return ExperimentSeries.from_dict(data)
-
-    @abc.abstractmethod
-    def save_series_dict(self, experiment_id: str, data: dict) -> None:
-        """Persist one assembled series as a plain dict."""
-
-    @abc.abstractmethod
-    def load_series_dict(self, experiment_id: str) -> dict | None:
-        """The stored series dict for ``experiment_id``, or ``None``."""
-
-    @abc.abstractmethod
-    def list_series(self) -> list[str]:
-        """Experiment ids with an assembled series, ascending."""
-
-    # ------------------------------------------------------------------
-    # Worker queue: tasks + claims
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def save_task(self, key: str, payload: dict) -> None:
-        """Publish one pending task descriptor under ``key``."""
-
-    @abc.abstractmethod
-    def load_task(self, key: str) -> dict | None:
-        """The pending task descriptor for ``key``, or ``None``."""
-
-    @abc.abstractmethod
-    def delete_task(self, key: str) -> None:
-        """Remove a task descriptor (no-op when already gone)."""
-
-    @abc.abstractmethod
-    def pending_task_keys(self) -> list[str]:
-        """Keys of all published task descriptors, ascending."""
-
-    @abc.abstractmethod
-    def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
-        """Atomically claim ``key`` for ``owner``; ``True`` on success.
-
-        A claim older than ``ttl`` seconds counts as abandoned and is
-        broken, so a worker that died mid-computation never wedges the
-        queue (at-least-once semantics: the point may then be computed
-        twice, which is safe because saves are idempotent).
-        """
-
-    @abc.abstractmethod
-    def renew_claim(self, key: str, owner: str) -> None:
-        """Refresh a held claim's timestamp (no-op when absent).
-
-        Drain loops call this as each group member completes, so a
-        lease only goes stale when its holder stops making progress for
-        a whole TTL — not merely because the group is large.
-        """
-
-    @abc.abstractmethod
-    def release_claim(self, key: str) -> None:
-        """Release a claim (no-op when absent)."""
-
-    @abc.abstractmethod
-    def list_claims(self) -> list[str]:
-        """Keys currently under claim, ascending."""
-
-    @abc.abstractmethod
-    def claim_info(self) -> dict[str, dict]:
-        """``{key: {"owner": str, "age": seconds}}`` for every live claim.
-
-        ``age`` counts from the last grant *or renewal*, i.e. it is the
-        time the lease has gone without progress — the quantity the TTL
-        staleness check and ``store stats`` both care about.
-        """
-
-    def claim_age(self, key: str) -> float | None:
-        """Age of one key's claim in seconds, or ``None`` when unclaimed.
-
-        The O(1) lookup the quarantine check polls per task; backends
-        override the full-table default with a single stat/row read.
-        """
-        info = self.claim_info().get(key)
-        return None if info is None else info["age"]
-
-    # ------------------------------------------------------------------
-    # Lease churn + quarantine
-    # ------------------------------------------------------------------
-    # A lease "break" is try_claim evicting a stale claim: the previous
-    # holder stopped renewing for a whole TTL, i.e. it most likely died
-    # mid-computation.  Tasks whose leases break repeatedly are poison
-    # (they kill whoever claims them) and get parked in the quarantine
-    # table instead of being re-claimed forever.
-
-    @abc.abstractmethod
-    def record_lease_break(self, key: str) -> int:
-        """Count one broken lease for ``key``; returns the new total.
-
-        Called by ``try_claim`` implementations whenever they evict a
-        stale claim, so churn accounting is uniform across callers.
-        """
-
-    @abc.abstractmethod
-    def lease_breaks(self, key: str) -> int:
-        """How many times ``key``'s lease has been broken (0 if never)."""
-
-    @abc.abstractmethod
-    def lease_break_counts(self) -> dict[str, int]:
-        """``{key: breaks}`` for every key with at least one break."""
-
-    @abc.abstractmethod
-    def reset_lease_breaks(self, key: str) -> None:
-        """Forget ``key``'s break counter (requeue gives a clean slate)."""
-
-    def quarantine_task(self, key: str, *, reason: str = "") -> bool:
-        """Park ``key``'s pending descriptor in the quarantine table.
-
-        Moves the task out of the queue (drain loops no longer see it),
-        releases any claim, and records why.  Returns ``True`` when the
-        key is quarantined after the call — including when a peer parked
-        it first — and ``False`` when there is nothing to park.
-        """
-        if self.load_quarantined(key) is not None:
-            self.delete_task(key)  # a peer parked it mid-scan
-            return True
-        payload = self.load_task(key)
-        if payload is None:
-            return False
-        self.save_quarantined(
-            key,
-            {
-                "schema": _SCHEMA_VERSION,
-                "payload": payload,
-                "reason": reason,
-                "lease_breaks": self.lease_breaks(key),
-                "quarantined_at": time.time(),
-            },
-        )
-        self.delete_task(key)
-        self.release_claim(key)
-        return True
-
-    def requeue_quarantined(self, key: str) -> bool:
-        """Release a quarantined descriptor back into the task queue.
-
-        Restores the descriptor, clears the quarantine record and the
-        break counter (the operator decided it deserves a clean slate).
-        Returns ``False`` when ``key`` is not quarantined.
-        """
-        record = self.load_quarantined(key)
-        if record is None:
-            return False
-        payload = record.get("payload")
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"quarantine record {key!r} in {self.locator} has no task payload"
-            )
-        self.save_task(key, payload)
-        self.delete_quarantined(key)
-        self.reset_lease_breaks(key)
-        self.release_claim(key)
-        return True
-
-    @abc.abstractmethod
-    def save_quarantined(self, key: str, record: dict) -> None:
-        """Persist one quarantine record."""
-
-    @abc.abstractmethod
-    def load_quarantined(self, key: str) -> dict | None:
-        """The quarantine record for ``key``, or ``None``."""
-
-    @abc.abstractmethod
-    def delete_quarantined(self, key: str) -> None:
-        """Remove a quarantine record (no-op when already gone)."""
-
-    @abc.abstractmethod
-    def list_quarantined(self) -> list[str]:
-        """Keys currently quarantined, ascending."""
-
-    # ------------------------------------------------------------------
-    # Checkpoint table (timeline delta-chain links)
-    # ------------------------------------------------------------------
-    def put_checkpoint(self, key: str, payload: dict) -> bool:
-        """Store one checkpoint chain link if absent; ``True`` if created.
-
-        Keys are stage content keys (they commit to the whole event
-        prefix plus the strategy lineup), so concurrent workers racing
-        the same boundary write byte-identical payloads — the
-        conditional put is a write-amplification saver, not a
-        correctness requirement.
-        """
-        created = self.save_checkpoint_record(key, payload)
-        if created:
-            self._bump_checkpoint_meta("writes")
-        if _met.ENABLED:
-            _met.REGISTRY.inc("store.ckpt.write" if created else "store.ckpt.dup")
-        return created
-
-    def get_checkpoint(self, key: str) -> dict | None:
-        """The chain link stored under ``key``, or ``None`` if absent."""
-        record = self.load_checkpoint_record(key)
-        self._bump_checkpoint_meta("hits" if record is not None else "misses")
-        if _met.ENABLED:
-            _met.REGISTRY.inc("store.ckpt.hit" if record is not None else "store.ckpt.miss")
-        return record
-
-    @abc.abstractmethod
-    def save_checkpoint_record(self, key: str, payload: dict) -> bool:
-        """Persist one chain link if absent; ``True`` when this call won."""
-
-    @abc.abstractmethod
-    def load_checkpoint_record(self, key: str) -> dict | None:
-        """The stored chain link for ``key``, or ``None``."""
-
-    @abc.abstractmethod
-    def list_checkpoints(self) -> list[str]:
-        """All stored checkpoint keys, ascending."""
-
-    @abc.abstractmethod
-    def delete_checkpoint(self, key: str) -> None:
-        """Remove one chain link (no-op when already gone)."""
-
-    def checkpoint_stats(self) -> dict:
-        """``{count, bytes, hits, misses, writes, gc_removed}`` for the table.
-
-        ``count``/``bytes`` are live table state; the rest are
-        cumulative fleet totals from the meta row (best-effort — see
-        :meth:`_bump_checkpoint_meta`).  Backends with a cheaper bulk
-        path (SQLite) override the size scan.
-        """
-        total = 0
-        keys = self.list_checkpoints()
-        for key in keys:
-            record = self.load_checkpoint_record(key)
-            if record is not None:
-                total += len(json.dumps(record, sort_keys=True))
-        return {"count": len(keys), "bytes": total, **self._checkpoint_meta()}
-
-    def _checkpoint_meta(self) -> dict:
-        meta = self.load_checkpoint_meta() or {}
-        return {
-            field: int(meta.get(field, 0)) for field in ("hits", "misses", "writes", "gc_removed")
-        }
-
-    def _bump_checkpoint_meta(self, field: str, by: int = 1) -> None:
-        """Best-effort fleet counter (read-modify-write; races lose ticks).
-
-        The meta row feeds ``store stats``' checkpoint line only — it is
-        never consulted by resume logic, so a lost increment under
-        concurrent workers costs nothing but display precision.
-        """
-        meta = self.load_checkpoint_meta() or {}
-        meta[field] = int(meta.get(field, 0)) + by
-        self.save_checkpoint_meta(meta)
-
-    @abc.abstractmethod
-    def save_checkpoint_meta(self, meta: dict) -> None:
-        """Persist the checkpoint-table counter row (latest-wins)."""
-
-    @abc.abstractmethod
-    def load_checkpoint_meta(self) -> dict | None:
-        """The checkpoint-table counter row, or ``None``."""
-
-    def gc_checkpoints(self) -> dict:
-        """Prune chain links no live sweep manifest references.
-
-        Every link written through an executor is stamped with the point
-        keys of the group that cut it; a link is *live* while any of
-        those points appears in some stored manifest's ``points`` list.
-        Unstamped links (ad-hoc ``compute_group`` calls) and links whose
-        sweeps were migrated away are removed — pruning only costs a
-        future fleet the replay the link would have saved, never
-        correctness.  Returns ``{"kept": n, "removed": n}``.
-        """
-        live: set[str] = set()
-        for sweep_key in self.list_manifests():
-            manifest = self.load_manifest(sweep_key) or {}
-            live.update(manifest.get("points", ()))
-        kept = removed = 0
-        for key in self.list_checkpoints():
-            record = self.load_checkpoint_record(key)
-            refs = (record or {}).get("points") or ()
-            if record is not None and any(point in live for point in refs):
-                kept += 1
-            else:
-                self.delete_checkpoint(key)
-                removed += 1
-        if removed:
-            self._bump_checkpoint_meta("gc_removed", removed)
-        return {"kept": kept, "removed": removed}
-
-    # ------------------------------------------------------------------
-    # Worker heartbeats
-    # ------------------------------------------------------------------
-    def record_heartbeat(self, worker: str) -> None:
-        """Stamp ``worker``'s liveness (wall-clock time + pid).
-
-        Workers beat every fraction of the lease TTL (see
-        :mod:`repro.sim.executor`); the monitor flags a worker whose
-        last beat is older than the TTL as stale instead of showing it
-        as silently live.  Latest-wins per worker name.
-        """
-        self.save_heartbeat_record(worker, {"at": time.time(), "pid": os.getpid()})
-
-    def heartbeats(self) -> dict[str, float]:
-        """``{worker: last heartbeat epoch seconds}`` for every worker."""
-        return {
-            worker: float(record.get("at", 0.0))
-            for worker, record in self.heartbeat_records().items()
-        }
-
-    @abc.abstractmethod
-    def save_heartbeat_record(self, worker: str, record: dict) -> None:
-        """Persist one worker's latest heartbeat record."""
-
-    @abc.abstractmethod
-    def heartbeat_records(self) -> dict[str, dict]:
-        """All stored heartbeat records keyed by worker name."""
-
-    # ------------------------------------------------------------------
-    # Introspection / migration
-    # ------------------------------------------------------------------
-    def iter_point_records(self) -> Iterator[tuple[str, dict]]:
-        """Yield ``(key, record)`` for every stored point.
-
-        The monitor and ``store export`` walk this for point-level
-        contexts (sweep value, run, worker, save time); backends with a
-        cheaper bulk path (SQLite) override the per-key default.
-        """
-        for key in self.list_points():
-            record = self.load_point_record(key)
-            if record is not None:
-                yield key, record
-
-    def queue_stats(
-        self,
-        *,
-        claim_info: dict[str, dict] | None = None,
-        quarantined: "list[str] | None" = None,
-    ) -> dict:
-        """Cheap aggregate counts for ``store stats`` / ``store watch``.
-
-        Everything here is a count or an age — no point payloads are
-        read, so polling this in a watch loop stays cheap even on
-        10⁴+-point stores.  A caller that already fetched the claim
-        table or the quarantine listing for its own display (the
-        monitor does both) passes them in, so one snapshot never pays
-        the backend twice for the same scan.
-        """
-        info = self.claim_info() if claim_info is None else claim_info
-        parked = self.list_quarantined() if quarantined is None else quarantined
-        ages = [c["age"] for c in info.values()]
-        return {
-            "backend": self.kind,
-            "locator": self.locator,
-            "points": len(self.list_points()),
-            "manifests": len(self.list_manifests()),
-            "series": len(self.list_series()),
-            "tasks": len(self.pending_task_keys()),
-            "claims": len(info),
-            "oldest_claim_age": max(ages, default=0.0),
-            "quarantined": len(parked),
-            "lease_breaks": sum(self.lease_break_counts().values()),
-            "checkpoints": self.checkpoint_stats(),
-        }
-
-    def describe(self) -> dict:
-        """Artifact counts for ``minim-cdma store ls``."""
-        return {
-            "backend": self.kind,
-            "locator": self.locator,
-            "points": len(self.list_points()),
-            "manifests": len(self.list_manifests()),
-            "series": self.list_series(),
-            "tasks": len(self.pending_task_keys()),
-            "claims": len(self.list_claims()),
-            "quarantined": len(self.list_quarantined()),
-            "checkpoints": len(self.list_checkpoints()),
-        }
-
-    def migrate_to(self, dst: "ResultsBackend") -> dict:
-        """Copy every artifact into ``dst``; returns copy counts."""
-        return migrate_store(self, dst)
-
-
-def migrate_store(src: ResultsBackend, dst: ResultsBackend) -> dict:
-    """Copy all points, manifests and series from ``src`` into ``dst``.
-
-    Pending tasks and claims are transient queue state and are *not*
-    migrated.  Checkpoint chain links travel with the manifests that
-    reference them, so a migrated fleet keeps its shared prefixes.
-    Returns ``{"points": n, "manifests": n, "series": n, "checkpoints": n}``.
-    """
-    counts = {"points": 0, "manifests": 0, "series": 0, "checkpoints": 0}
-    for key in src.list_points():
-        record = src.load_point_record(key)
-        if record is not None:
-            dst.save_point_record(key, record)
-            counts["points"] += 1
-    for sweep_key in src.list_manifests():
-        manifest = src.load_manifest(sweep_key)
-        if manifest is not None:
-            dst.save_manifest(sweep_key, manifest)
-            counts["manifests"] += 1
-    for experiment_id in src.list_series():
-        data = src.load_series_dict(experiment_id)
-        if data is not None:
-            dst.save_series_dict(experiment_id, data)
-            counts["series"] += 1
-    for key in src.list_checkpoints():
-        record = src.load_checkpoint_record(key)
-        if record is not None:
-            dst.save_checkpoint_record(key, record)
-            counts["checkpoints"] += 1
-    return counts
-
 
 class CheckpointScope:
-    """A backend's checkpoint table scoped to one task group.
+    """A store's checkpoint table scoped to one task group.
 
     The handle :func:`repro.sim.timeline.compute_group` writes chain
     links through.  Every link is stamped with the point keys of the
     group that cut it, which is what ties a content-keyed link back to
-    sweep manifests: :meth:`ResultsBackend.gc_checkpoints` keeps a link
+    sweep manifests: :meth:`SqliteBackend.gc_checkpoints` keeps a link
     while any stamped point appears in a live manifest's ``points``
     list.  Reads pass through unstamped (links are shared across
     groups and sweeps by content key).
     """
 
-    def __init__(self, backend: ResultsBackend, points: Sequence[str] = ()) -> None:
+    def __init__(self, backend: "SqliteBackend", points: Sequence[str] = ()) -> None:
         self.backend = backend
         self.points = list(points)
 
@@ -693,432 +173,35 @@ class CheckpointScope:
         return self.backend.get_checkpoint(key)
 
 
-class JsonDirBackend(ResultsBackend):
-    """Filesystem-backed results: one JSON file per artifact.
-
-    Layout under ``root``: ``points/<key>.json``,
-    ``sweeps/<sweep-key>.json``, ``series/<experiment-id>.json``,
-    ``tasks/<key>.json`` and ``claims/<key>.lease``.  All writes go
-    through write-then-rename, so concurrent readers (and workers on a
-    shared filesystem) never observe partial files.
-
-    Parameters
-    ----------
-    root:
-        Store directory; created on first write.
-    """
-
-    kind = "json"
-
-    def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-
-    @property
-    def locator(self) -> str:
-        """The store directory (re-opens via :func:`open_backend`)."""
-        return str(self.root)
-
-    # ------------------------------------------------------------------
-    # Point artifacts
-    # ------------------------------------------------------------------
-    def point_path(self, key: str) -> Path:
-        """Where the artifact for ``key`` lives."""
-        return self.root / "points" / f"{key}.json"
-
-    def point_locator(self, key: str) -> str:
-        """The point artifact's filesystem path."""
-        return str(self.point_path(key))
-
-    def load_point_record(self, key: str) -> dict | None:
-        """Read one point record, wrapping corrupt JSON with its path."""
-        return self._read_json(self.point_path(key), "results artifact")
-
-    def save_point_record(self, key: str, record: dict) -> None:
-        """Write one point record atomically."""
-        self._write_json(self.point_path(key), record)
-
-    def list_points(self) -> list[str]:
-        """Stored point keys, ascending."""
-        return sorted(p.stem for p in self.root.glob("points/*.json"))
-
-    # ------------------------------------------------------------------
-    # Sweep manifests
-    # ------------------------------------------------------------------
-    def manifest_path(self, sweep_key: str) -> Path:
-        """Where the manifest for ``sweep_key`` lives."""
-        return self.root / "sweeps" / f"{sweep_key}.json"
-
-    def save_manifest(self, sweep_key: str, manifest: dict) -> None:
-        """Persist a sweep's run manifest."""
-        self._write_json(self.manifest_path(sweep_key), manifest)
-
-    def load_manifest(self, sweep_key: str) -> dict | None:
-        """The manifest for ``sweep_key``, or ``None`` if absent."""
-        return self._read_json(self.manifest_path(sweep_key), "sweep manifest")
-
-    def list_manifests(self) -> list[str]:
-        """Stored sweep keys, ascending."""
-        return sorted(p.stem for p in self.root.glob("sweeps/*.json"))
-
-    # ------------------------------------------------------------------
-    # Assembled series
-    # ------------------------------------------------------------------
-    def series_path(self, experiment_id: str) -> Path:
-        """Where the assembled series for ``experiment_id`` lives."""
-        return self.root / "series" / f"{experiment_id}.json"
-
-    def save_series_dict(self, experiment_id: str, data: dict) -> None:
-        """Persist one assembled series dict."""
-        self._write_json(self.series_path(experiment_id), data)
-
-    def load_series_dict(self, experiment_id: str) -> dict | None:
-        """Read one series dict, wrapping corrupt JSON with its path."""
-        return self._read_json(self.series_path(experiment_id), "series artifact")
-
-    def list_series(self) -> list[str]:
-        """Experiment ids with an assembled series, ascending."""
-        return sorted(p.stem for p in self.root.glob("series/*.json"))
-
-    # ------------------------------------------------------------------
-    # Worker queue: tasks + claims
-    # ------------------------------------------------------------------
-    def task_path(self, key: str) -> Path:
-        """Where the task descriptor for ``key`` lives."""
-        return self.root / "tasks" / f"{key}.json"
-
-    def save_task(self, key: str, payload: dict) -> None:
-        """Publish one pending task descriptor."""
-        self._write_json(self.task_path(key), payload)
-
-    def load_task(self, key: str) -> dict | None:
-        """The pending task descriptor for ``key``, or ``None``."""
-        return self._read_json(self.task_path(key), "task descriptor")
-
-    def delete_task(self, key: str) -> None:
-        """Remove a task descriptor (idempotent)."""
-        self.task_path(key).unlink(missing_ok=True)
-
-    def pending_task_keys(self) -> list[str]:
-        """Keys of all published task descriptors, ascending."""
-        return sorted(p.stem for p in self.root.glob("tasks/*.json"))
-
-    def claim_path(self, key: str) -> Path:
-        """Where the lease file for ``key`` lives."""
-        return self.root / "claims" / f"{key}.lease"
-
-    def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
-        """Claim via ``O_CREAT|O_EXCL`` lease file; breaks stale leases.
-
-        Creation itself is atomic; only *stale-lease breaking* races.
-        After creating a lease the owner is read back and verified,
-        which catches a concurrent breaker unlinking our fresh file —
-        but two breakers interleaved across the whole break/create
-        window can still each see their own name and both win.  Claims
-        are therefore a work-dedup lever, not a mutual-exclusion
-        guarantee: duplicates stay possible (at-least-once) and stay
-        safe, because point saves are idempotent and content-keyed.
-        Callers needing hard exclusivity must not build it on leases.
-        """
-        path = self.claim_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        broke_stale = False
-        for attempt in range(2):
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                if attempt:
-                    return False
-                try:
-                    stale = (time.time() - path.stat().st_mtime) > ttl
-                except FileNotFoundError:
-                    continue  # holder released between open and stat; retry
-                if not stale:
-                    return False
-                path.unlink(missing_ok=True)  # break the abandoned lease
-                broke_stale = True
-                continue
-            with os.fdopen(fd, "w") as fh:
-                json.dump({"owner": owner, "claimed_at": time.time()}, fh)
-            won = self._claim_owner(path) == owner
-            if won and broke_stale:
-                # counted only by the breaker that went on to *win* the
-                # claim: racing breakers may both unlink, but one real
-                # eviction must not count as two (the counter feeds the
-                # quarantine threshold)
-                self.record_lease_break(key)
-            return won
-        return False  # pragma: no cover - loop always returns
-
-    def _claim_owner(self, path: Path) -> str | None:
-        try:
-            return json.loads(path.read_text()).get("owner")
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-
-    def renew_claim(self, key: str, owner: str) -> None:
-        """Bump the lease mtime while still held by ``owner``."""
-        path = self.claim_path(key)
-        if self._claim_owner(path) == owner:
-            try:
-                os.utime(path)
-            except FileNotFoundError:  # released concurrently: nothing to renew
-                pass
-
-    def release_claim(self, key: str) -> None:
-        """Remove the lease file (idempotent)."""
-        self.claim_path(key).unlink(missing_ok=True)
-
-    def list_claims(self) -> list[str]:
-        """Keys currently under claim, ascending."""
-        return sorted(p.stem for p in self.root.glob("claims/*.lease"))
-
-    def claim_info(self) -> dict[str, dict]:
-        """Owner (from the lease body) and age (from the lease mtime).
-
-        The mtime is what ``renew_claim`` bumps, so age measures time
-        since the holder last made progress.
-        """
-        now = time.time()
-        out: dict[str, dict] = {}
-        for path in sorted(self.root.glob("claims/*.lease")):
-            try:
-                mtime = path.stat().st_mtime
-            except FileNotFoundError:  # released mid-scan
-                continue
-            out[path.stem] = {
-                "owner": self._claim_owner(path) or "<unknown>",
-                "age": max(0.0, now - mtime),
-            }
-        return out
-
-    def claim_age(self, key: str) -> float | None:
-        """One stat call on the lease file (no table scan)."""
-        try:
-            mtime = self.claim_path(key).stat().st_mtime
-        except FileNotFoundError:
-            return None
-        return max(0.0, time.time() - mtime)
-
-    # ------------------------------------------------------------------
-    # Lease churn + quarantine
-    # ------------------------------------------------------------------
-    def churn_path(self, key: str) -> Path:
-        """Where the break counter for ``key`` lives."""
-        return self.root / "churn" / f"{key}.json"
-
-    def record_lease_break(self, key: str) -> int:
-        """Bump the break counter file (read-modify-write; advisory)."""
-        breaks = self.lease_breaks(key) + 1
-        self._write_json(self.churn_path(key), {"breaks": breaks})
-        obs.event("queue.lease_break", cat="queue", key=key, breaks=breaks)
-        return breaks
-
-    def lease_breaks(self, key: str) -> int:
-        """The break counter for ``key`` (0 if never broken)."""
-        record = self._read_json(self.churn_path(key), "lease-break counter")
-        return int(record.get("breaks", 0)) if record else 0
-
-    def lease_break_counts(self) -> dict[str, int]:
-        """Break counters of every churned key."""
-        return {
-            p.stem: breaks
-            for p in sorted(self.root.glob("churn/*.json"))
-            if (breaks := self.lease_breaks(p.stem)) > 0
-        }
-
-    def reset_lease_breaks(self, key: str) -> None:
-        """Drop the break counter file (idempotent)."""
-        self.churn_path(key).unlink(missing_ok=True)
-
-    def quarantine_path(self, key: str) -> Path:
-        """Where the quarantine record for ``key`` lives."""
-        return self.root / "quarantine" / f"{key}.json"
-
-    def save_quarantined(self, key: str, record: dict) -> None:
-        """Write one quarantine record atomically."""
-        self._write_json(self.quarantine_path(key), record)
-
-    def load_quarantined(self, key: str) -> dict | None:
-        """The quarantine record for ``key``, or ``None``."""
-        return self._read_json(self.quarantine_path(key), "quarantine record")
-
-    def delete_quarantined(self, key: str) -> None:
-        """Remove a quarantine record (idempotent)."""
-        self.quarantine_path(key).unlink(missing_ok=True)
-
-    def list_quarantined(self) -> list[str]:
-        """Keys currently quarantined, ascending."""
-        return sorted(p.stem for p in self.root.glob("quarantine/*.json"))
-
-    # ------------------------------------------------------------------
-    # Worker heartbeats
-    # ------------------------------------------------------------------
-    def heartbeat_path(self, worker: str) -> Path:
-        """Where the heartbeat record for ``worker`` lives."""
-        return self.root / "heartbeats" / f"{worker}.json"
-
-    def save_heartbeat_record(self, worker: str, record: dict) -> None:
-        """Write one heartbeat record atomically (latest-wins)."""
-        self._write_json(self.heartbeat_path(worker), record)
-
-    def heartbeat_records(self) -> dict[str, dict]:
-        """All heartbeat records keyed by worker name."""
-        out: dict[str, dict] = {}
-        for path in sorted(self.root.glob("heartbeats/*.json")):
-            record = self._read_json(path, "heartbeat record")
-            if record is not None:
-                out[path.stem] = record
-        return out
-
-    # ------------------------------------------------------------------
-    # Checkpoint table
-    # ------------------------------------------------------------------
-    def checkpoint_path(self, key: str) -> Path:
-        """Where the chain link for ``key`` lives."""
-        return self.root / "checkpoints" / f"{key}.json"
-
-    def save_checkpoint_record(self, key: str, payload: dict) -> bool:
-        """If-absent link write: atomic tmp-file + ``os.link`` publish.
-
-        ``link(2)`` fails with ``EEXIST`` when the target exists, which
-        makes create-if-absent atomic even on shared filesystems — and
-        readers never observe a partial file, because the payload is
-        fully written before the name appears.
-        """
-        path = self.checkpoint_path(key)
-        if path.exists():
-            return False
-        tmp = self._write_json(path.with_name(f".{key}.{os.getpid()}.tmp"), payload)
-        try:
-            os.link(tmp, path)
-            return True
-        except FileExistsError:
-            return False
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def load_checkpoint_record(self, key: str) -> dict | None:
-        """Read one chain link, wrapping corrupt JSON with its path."""
-        return self._read_json(self.checkpoint_path(key), "checkpoint link")
-
-    def list_checkpoints(self) -> list[str]:
-        """Stored checkpoint keys, ascending."""
-        return sorted(p.stem for p in self.root.glob("checkpoints/*.json"))
-
-    def delete_checkpoint(self, key: str) -> None:
-        """Remove one chain link (idempotent)."""
-        self.checkpoint_path(key).unlink(missing_ok=True)
-
-    def checkpoint_stats(self) -> dict:
-        """Table stats from file sizes (no payload reads)."""
-        files = list(self.root.glob("checkpoints/*.json"))
-        return {
-            "count": len(files),
-            "bytes": sum(p.stat().st_size for p in files),
-            **self._checkpoint_meta(),
-        }
-
-    def save_checkpoint_meta(self, meta: dict) -> None:
-        """Write the counter row atomically (latest-wins)."""
-        self._write_json(self.root / "meta" / "checkpoints.json", meta)
-
-    def load_checkpoint_meta(self) -> dict | None:
-        """Read the counter row."""
-        return self._read_json(self.root / "meta" / "checkpoints.json", "checkpoint meta")
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def compact(self) -> "SqliteBackend":
-        """Fold this directory store into one SQLite table set, in place.
-
-        Creates ``<root>/store.sqlite`` holding every point, manifest
-        and series, then removes the per-artifact JSON files.  Because
-        :func:`open_backend` routes a directory containing
-        ``store.sqlite`` to :class:`SqliteBackend`, existing
-        ``--results <root>`` invocations keep resolving (and resuming)
-        transparently after compaction.  Queue state (tasks, claims,
-        churn counters, quarantine) is transient and is dropped, like
-        in :func:`migrate_store`.
-        """
-        import shutil
-
-        dst = SqliteBackend(self.root / _SQLITE_BASENAME)
-        self.gc_checkpoints()  # only links a live manifest references travel
-        migrate_store(self, dst)
-        for sub in (
-            "points",
-            "sweeps",
-            "series",
-            "tasks",
-            "claims",
-            "churn",
-            "quarantine",
-            "heartbeats",
-            "checkpoints",
-            "meta",
-        ):
-            shutil.rmtree(self.root / sub, ignore_errors=True)
-        return dst
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _read_json(self, path: Path, what: str) -> dict | None:
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"corrupt {what} {path}: {exc}") from exc
-
-    def _write_json(self, path: Path, payload: Any) -> Path:
-        """Write-then-rename so readers never observe partial files."""
-        from repro.analysis.series import write_json_atomic
-
-        return write_json_atomic(path, payload)
-
-
-#: Backwards-compatible alias: the pre-refactor store class name.
-ResultsStore = JsonDirBackend
-
-
-class SqliteBackend(ResultsBackend):
+class SqliteBackend:
     """Single-file SQLite results store (stdlib ``sqlite3`` only).
 
-    One table per artifact kind (``points`` / ``manifests`` / ``series``
-    / ``tasks`` / ``claims``), each a key → JSON-payload row.  Intended
-    for 10⁴+-point sweeps where a directory of tiny JSON files stops
-    scaling, and as the shared store of multi-process worker drains
-    (SQLite's file locking serializes writers; every operation is one
-    short transaction on its own connection, so backends are trivially
-    picklable across process pools).
+    One ``artifacts`` table of key → JSON-payload rows per artifact kind
+    plus a ``claims`` table of leases.  It is the shared store of
+    multi-process worker drains: SQLite's file locking serializes
+    writers, and every operation is one short transaction on its own
+    connection, so stores are trivially picklable across process pools.
 
     Parameters
     ----------
     path:
-        The database file.  A directory is accepted and resolves to
-        ``<dir>/store.sqlite`` (the compaction layout).
+        The database file.  A directory, or a suffix-less path that does
+        not exist yet, resolves to ``<dir>/store.sqlite``.  A directory
+        in the retired JSON-directory layout raises
+        :class:`~repro.errors.ConfigurationError` naming the importer.
     """
 
+    #: Store kind tag shown by ``store ls`` / ``store stats``.
     kind = "sqlite"
-
-    #: Artifact kinds stored as rows of the ``artifacts`` table.
-    _TABLES = (
-        "points",
-        "manifests",
-        "series",
-        "tasks",
-        "churn",
-        "quarantine",
-        "heartbeats",
-        "checkpoints",
-        "meta",
-    )
 
     def __init__(self, path: Path | str) -> None:
         path = Path(path)
         if path.is_dir() or (not path.exists() and not path.suffix):
+            if _is_legacy_json_dir(path):
+                raise ConfigurationError(
+                    f"{path} is a JSON-directory results store from an older release; "
+                    f"import it once with `minim-cdma store compact {path}`"
+                )
             path = path / _SQLITE_BASENAME
         self.path = path
         self._schema_ready = False
@@ -1132,7 +215,7 @@ class SqliteBackend(ResultsBackend):
     def _connect(self) -> Iterator[sqlite3.Connection]:
         """One short transaction on a fresh connection (always closed).
 
-        A connection per operation keeps the backend free of open
+        A connection per operation keeps the store free of open
         handles, hence picklable and safe to share across process pools
         and forked workers; SQLite's file locking (with a 30 s busy
         timeout) serializes concurrent writers.
@@ -1141,7 +224,7 @@ class SqliteBackend(ResultsBackend):
         conn = sqlite3.connect(self.path, timeout=30.0)
         try:
             if not self._schema_ready:
-                # once per backend instance, not per operation: the
+                # once per store instance, not per operation: the
                 # tables persist in the file, and hot paths (cache
                 # probes, drain polls) open thousands of connections
                 conn.execute(
@@ -1161,6 +244,8 @@ class SqliteBackend(ResultsBackend):
 
     # -- generic key/JSON rows ------------------------------------------
     def _get(self, kind: str, key: str) -> dict | None:
+        if not self.path.exists():
+            return None
         with self._connect() as conn:
             row = conn.execute(
                 "SELECT payload FROM artifacts WHERE kind = ? AND key = ?", (kind, key)
@@ -1195,14 +280,39 @@ class SqliteBackend(ResultsBackend):
             conn.execute("DELETE FROM artifacts WHERE kind = ? AND key = ?", (kind, key))
 
     # -- points ----------------------------------------------------------
-    def load_point_record(self, key: str) -> dict | None:
-        """Read one point record row."""
-        if not self.path.exists():
+    def load_point(self, key: str) -> Any | None:
+        """The stored result payload for ``key``, or ``None`` if absent."""
+        record = self.load_point_record(key)
+        if _met.ENABLED:
+            _met.REGISTRY.inc("store.point.hit" if record is not None else "store.point.miss")
+        if record is None:
             return None
+        try:
+            return record["result"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"corrupt results artifact {self.locator}::points/{key}: {exc}"
+            ) from exc
+
+    def save_point(self, key: str, result: Any, *, context: dict | None = None) -> None:
+        """Persist one point result (with provenance context) atomically.
+
+        Saves are idempotent: the key is a content hash of the
+        computation, so concurrent workers racing the same point write
+        identical payloads and last-write-wins is safe.
+        """
+        self.save_point_record(
+            key, {"schema": _SCHEMA_VERSION, "context": context or {}, "result": result}
+        )
+        if _met.ENABLED:
+            _met.REGISTRY.inc("store.point.write")
+
+    def load_point_record(self, key: str) -> dict | None:
+        """The full stored record for ``key`` (schema/context/result)."""
         return self._get("points", key)
 
     def save_point_record(self, key: str, record: dict) -> None:
-        """Upsert one point record row."""
+        """Upsert one full point record row."""
         self._put("points", key, record)
 
     def list_points(self) -> list[str]:
@@ -1210,7 +320,12 @@ class SqliteBackend(ResultsBackend):
         return self._keys("points")
 
     def load_points(self, keys: list[str]) -> dict[str, object]:
-        """Bulk point fetch: one ``IN`` query per chunk of 500 keys."""
+        """``{key: result}`` for every stored key in ``keys``.
+
+        Absent keys are omitted.  The batched cache probe of the claim
+        stage and the worker drain loop: one ``IN`` query per chunk of
+        500 keys.
+        """
         if not keys or not self.path.exists():
             if _met.ENABLED and keys:
                 _met.REGISTRY.inc("store.point.miss", len(keys))
@@ -1237,6 +352,26 @@ class SqliteBackend(ResultsBackend):
             _met.REGISTRY.inc("store.point.miss", len(keys) - len(out))
         return out
 
+    def iter_point_records(self) -> Iterator[tuple[str, dict]]:
+        """Yield ``(key, record)`` for every stored point, in one query.
+
+        The monitor and ``store export`` walk this for point-level
+        contexts (sweep value, run, worker, save time).
+        """
+        if not self.path.exists():
+            return
+        with self._connect() as conn:
+            rows = conn.execute(
+                "SELECT key, payload FROM artifacts WHERE kind = 'points' ORDER BY key"
+            ).fetchall()
+        for key, payload in rows:
+            try:
+                yield key, json.loads(payload)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"corrupt points row {key!r} in {self.path}: {exc}"
+                ) from exc
+
     # -- manifests -------------------------------------------------------
     def save_manifest(self, sweep_key: str, manifest: dict) -> None:
         """Upsert a sweep's run manifest row."""
@@ -1244,8 +379,6 @@ class SqliteBackend(ResultsBackend):
 
     def load_manifest(self, sweep_key: str) -> dict | None:
         """The manifest row for ``sweep_key``, or ``None``."""
-        if not self.path.exists():
-            return None
         return self._get("manifests", sweep_key)
 
     def list_manifests(self) -> list[str]:
@@ -1253,14 +386,29 @@ class SqliteBackend(ResultsBackend):
         return self._keys("manifests")
 
     # -- series ----------------------------------------------------------
+    def save_series(self, series: "ExperimentSeries") -> None:
+        """Persist an assembled series under its experiment id."""
+        self.save_series_dict(series.experiment, series.to_dict())
+
+    def load_series(self, experiment_id: str) -> "ExperimentSeries":
+        """Load a previously assembled series by experiment id."""
+        from repro.analysis.series import ExperimentSeries
+
+        data = self.load_series_dict(experiment_id)
+        if data is None:
+            known = self.list_series()
+            raise ConfigurationError(
+                f"no stored series {experiment_id!r} under {self.locator} "
+                f"(stored: {', '.join(known) or '<none>'})"
+            )
+        return ExperimentSeries.from_dict(data)
+
     def save_series_dict(self, experiment_id: str, data: dict) -> None:
         """Upsert one assembled series row."""
         self._put("series", experiment_id, data)
 
     def load_series_dict(self, experiment_id: str) -> dict | None:
         """The stored series dict for ``experiment_id``, or ``None``."""
-        if not self.path.exists():
-            return None
         return self._get("series", experiment_id)
 
     def list_series(self) -> list[str]:
@@ -1268,20 +416,38 @@ class SqliteBackend(ResultsBackend):
         return self._keys("series")
 
     # -- checkpoints -----------------------------------------------------
-    def save_checkpoint_record(self, key: str, payload: dict) -> bool:
-        """If-absent link write: ``INSERT OR IGNORE`` on the artifacts table."""
+    def put_checkpoint(self, key: str, payload: dict) -> bool:
+        """Store one checkpoint chain link if absent; ``True`` if created.
+
+        Keys are stage content keys (they commit to the whole event
+        prefix plus the strategy lineup), so concurrent workers racing
+        the same boundary write byte-identical payloads — the
+        conditional put is a write-amplification saver, not a
+        correctness requirement.
+        """
         with self._connect() as conn:
             cur = conn.execute(
                 "INSERT OR IGNORE INTO artifacts (kind, key, payload) "
                 "VALUES ('checkpoints', ?, ?)",
                 (key, json.dumps(payload, sort_keys=True)),
             )
-            return cur.rowcount > 0
+            created = cur.rowcount > 0
+        if created:
+            self._bump_checkpoint_meta("writes")
+        if _met.ENABLED:
+            _met.REGISTRY.inc("store.ckpt.write" if created else "store.ckpt.dup")
+        return created
+
+    def get_checkpoint(self, key: str) -> dict | None:
+        """The chain link stored under ``key``, or ``None`` if absent."""
+        record = self.load_checkpoint_record(key)
+        self._bump_checkpoint_meta("hits" if record is not None else "misses")
+        if _met.ENABLED:
+            _met.REGISTRY.inc("store.ckpt.hit" if record is not None else "store.ckpt.miss")
+        return record
 
     def load_checkpoint_record(self, key: str) -> dict | None:
         """The stored chain link for ``key``, or ``None``."""
-        if not self.path.exists():
-            return None
         return self._get("checkpoints", key)
 
     def list_checkpoints(self) -> list[str]:
@@ -1293,7 +459,13 @@ class SqliteBackend(ResultsBackend):
         self._delete("checkpoints", key)
 
     def checkpoint_stats(self) -> dict:
-        """Table stats in one aggregate query (no payload reads)."""
+        """``{count, bytes, hits, misses, writes, gc_removed}`` for the table.
+
+        ``count``/``bytes`` are live table state from one aggregate
+        query (no payload reads); the rest are cumulative fleet totals
+        from the meta row (best-effort — see
+        :meth:`_bump_checkpoint_meta`).
+        """
         count, total = 0, 0
         if self.path.exists():
             with self._connect() as conn:
@@ -1303,15 +475,50 @@ class SqliteBackend(ResultsBackend):
                 ).fetchone()
         return {"count": int(count), "bytes": int(total), **self._checkpoint_meta()}
 
-    def save_checkpoint_meta(self, meta: dict) -> None:
-        """Upsert the counter row."""
+    def _checkpoint_meta(self) -> dict:
+        meta = self._get("meta", "checkpoints") or {}
+        return {
+            field: int(meta.get(field, 0)) for field in ("hits", "misses", "writes", "gc_removed")
+        }
+
+    def _bump_checkpoint_meta(self, field: str, by: int = 1) -> None:
+        """Best-effort fleet counter (read-modify-write; races lose ticks).
+
+        The meta row feeds ``store stats``' checkpoint line only — it is
+        never consulted by resume logic, so a lost increment under
+        concurrent workers costs nothing but display precision.
+        """
+        meta = self._get("meta", "checkpoints") or {}
+        meta[field] = int(meta.get(field, 0)) + by
         self._put("meta", "checkpoints", meta)
 
-    def load_checkpoint_meta(self) -> dict | None:
-        """The counter row, or ``None``."""
-        if not self.path.exists():
-            return None
-        return self._get("meta", "checkpoints")
+    def gc_checkpoints(self) -> dict:
+        """Prune chain links no live sweep manifest references.
+
+        Every link written through an executor is stamped with the point
+        keys of the group that cut it; a link is *live* while any of
+        those points appears in some stored manifest's ``points`` list.
+        Unstamped links (ad-hoc ``compute_group`` calls) are removed —
+        pruning only costs a future fleet the replay the link would
+        have saved, never correctness.  Returns
+        ``{"kept": n, "removed": n}``.
+        """
+        live: set[str] = set()
+        for sweep_key in self.list_manifests():
+            manifest = self.load_manifest(sweep_key) or {}
+            live.update(manifest.get("points", ()))
+        kept = removed = 0
+        for key in self.list_checkpoints():
+            record = self.load_checkpoint_record(key)
+            refs = (record or {}).get("points") or ()
+            if record is not None and any(point in live for point in refs):
+                kept += 1
+            else:
+                self.delete_checkpoint(key)
+                removed += 1
+        if removed:
+            self._bump_checkpoint_meta("gc_removed", removed)
+        return {"kept": kept, "removed": removed}
 
     # -- tasks + claims --------------------------------------------------
     def save_task(self, key: str, payload: dict) -> None:
@@ -1320,8 +527,6 @@ class SqliteBackend(ResultsBackend):
 
     def load_task(self, key: str) -> dict | None:
         """The pending task descriptor for ``key``, or ``None``."""
-        if not self.path.exists():
-            return None
         return self._get("tasks", key)
 
     def delete_task(self, key: str) -> None:
@@ -1333,11 +538,15 @@ class SqliteBackend(ResultsBackend):
         return self._keys("tasks")
 
     def try_claim(self, key: str, owner: str, *, ttl: float = DEFAULT_CLAIM_TTL) -> bool:
-        """Claim via ``INSERT OR IGNORE``; stale rows are purged first.
+        """Atomically claim ``key`` for ``owner``; ``True`` on success.
 
-        Purging a stale row counts one lease break in the same
-        transaction, so exactly the claimant that evicted the dead
-        holder does the churn accounting.
+        Claims are ``INSERT OR IGNORE`` rows.  A claim older than ``ttl``
+        seconds counts as abandoned and is purged first, so a worker
+        that died mid-computation never wedges the queue (at-least-once
+        semantics: the point may then be computed twice, which is safe
+        because saves are idempotent).  Purging a stale row counts one
+        lease break in the same transaction, so exactly the claimant
+        that evicted the dead holder does the churn accounting.
         """
         now = time.time()
         with self._connect() as conn:
@@ -1353,7 +562,12 @@ class SqliteBackend(ResultsBackend):
             return cur.rowcount == 1
 
     def renew_claim(self, key: str, owner: str) -> None:
-        """Bump the claim row's timestamp while still held by ``owner``."""
+        """Refresh a held claim's timestamp (no-op when absent).
+
+        Drain loops call this as each group member completes, so a
+        lease only goes stale when its holder stops making progress for
+        a whole TTL — not merely because the group is large.
+        """
         if not self.path.exists():
             return
         with self._connect() as conn:
@@ -1378,7 +592,12 @@ class SqliteBackend(ResultsBackend):
         return [r[0] for r in rows]
 
     def claim_info(self) -> dict[str, dict]:
-        """Owner and age straight from the claim rows."""
+        """``{key: {"owner": str, "age": seconds}}`` for every live claim.
+
+        ``age`` counts from the last grant *or renewal*, i.e. it is the
+        time the lease has gone without progress — the quantity the TTL
+        staleness check and ``store stats`` both care about.
+        """
         if not self.path.exists():
             return {}
         now = time.time()
@@ -1387,7 +606,10 @@ class SqliteBackend(ResultsBackend):
         return {key: {"owner": owner, "age": max(0.0, now - at)} for key, owner, at in rows}
 
     def claim_age(self, key: str) -> float | None:
-        """One indexed row read (no table scan)."""
+        """Age of one key's claim in seconds, or ``None`` when unclaimed.
+
+        The one-row lookup the quarantine check polls per task.
+        """
         if not self.path.exists():
             return None
         with self._connect() as conn:
@@ -1395,6 +617,11 @@ class SqliteBackend(ResultsBackend):
         return None if row is None else max(0.0, time.time() - row[0])
 
     # -- lease churn + quarantine ----------------------------------------
+    # A lease "break" is try_claim evicting a stale claim: the previous
+    # holder stopped renewing for a whole TTL, i.e. it most likely died
+    # mid-computation.  Tasks whose leases break repeatedly are poison
+    # (they kill whoever claims them) and get parked in the quarantine
+    # table instead of being re-claimed forever.
     def _bump_churn(self, conn: sqlite3.Connection, key: str) -> int:
         """Increment the churn row inside the caller's transaction."""
         row = conn.execute(
@@ -1409,19 +636,17 @@ class SqliteBackend(ResultsBackend):
         return breaks
 
     def record_lease_break(self, key: str) -> int:
-        """Bump the churn row in its own short transaction."""
+        """Count one broken lease for ``key``; returns the new total."""
         with self._connect() as conn:
             return self._bump_churn(conn, key)
 
     def lease_breaks(self, key: str) -> int:
-        """The break counter for ``key`` (0 if never broken)."""
-        if not self.path.exists():
-            return 0
+        """How many times ``key``'s lease has been broken (0 if never)."""
         record = self._get("churn", key)
         return int(record.get("breaks", 0)) if record else 0
 
     def lease_break_counts(self) -> dict[str, int]:
-        """Break counters of every churned key, one query."""
+        """``{key: breaks}`` for every key with at least one break, one query."""
         if not self.path.exists():
             return {}
         with self._connect() as conn:
@@ -1436,28 +661,85 @@ class SqliteBackend(ResultsBackend):
         return out
 
     def reset_lease_breaks(self, key: str) -> None:
-        """Drop the churn row (idempotent)."""
+        """Forget ``key``'s break counter (requeue gives a clean slate)."""
         self._delete("churn", key)
 
-    def save_quarantined(self, key: str, record: dict) -> None:
-        """Upsert one quarantine row."""
-        self._put("quarantine", key, record)
+    def quarantine_task(self, key: str, *, reason: str = "") -> bool:
+        """Park ``key``'s pending descriptor in the quarantine table.
+
+        Moves the task out of the queue (drain loops no longer see it),
+        releases any claim, and records why.  Returns ``True`` when the
+        key is quarantined after the call — including when a peer parked
+        it first — and ``False`` when there is nothing to park.
+        """
+        if self.load_quarantined(key) is not None:
+            self.delete_task(key)  # a peer parked it mid-scan
+            return True
+        payload = self.load_task(key)
+        if payload is None:
+            return False
+        self._put(
+            "quarantine",
+            key,
+            {
+                "schema": _SCHEMA_VERSION,
+                "payload": payload,
+                "reason": reason,
+                "lease_breaks": self.lease_breaks(key),
+                "quarantined_at": time.time(),
+            },
+        )
+        self.delete_task(key)
+        self.release_claim(key)
+        return True
+
+    def requeue_quarantined(self, key: str) -> bool:
+        """Release a quarantined descriptor back into the task queue.
+
+        Restores the descriptor, clears the quarantine record and the
+        break counter (the operator decided it deserves a clean slate).
+        Returns ``False`` when ``key`` is not quarantined.
+        """
+        record = self.load_quarantined(key)
+        if record is None:
+            return False
+        payload = record.get("payload")
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"quarantine record {key!r} in {self.locator} has no task payload"
+            )
+        self.save_task(key, payload)
+        self._delete("quarantine", key)
+        self.reset_lease_breaks(key)
+        self.release_claim(key)
+        return True
 
     def load_quarantined(self, key: str) -> dict | None:
         """The quarantine record for ``key``, or ``None``."""
-        if not self.path.exists():
-            return None
         return self._get("quarantine", key)
-
-    def delete_quarantined(self, key: str) -> None:
-        """Remove a quarantine row (idempotent)."""
-        self._delete("quarantine", key)
 
     def list_quarantined(self) -> list[str]:
         """Keys currently quarantined, ascending."""
         return self._keys("quarantine")
 
     # -- heartbeats ------------------------------------------------------
+    def record_heartbeat(self, worker: str) -> None:
+        """Stamp ``worker``'s liveness (wall-clock time + pid).
+
+        Workers beat every fraction of the lease TTL (see
+        :mod:`repro.sim.executor`); the monitor flags a worker whose
+        last beat is older than the TTL as stale instead of showing it
+        as silently live.  Latest-wins per worker name.
+        """
+        self.save_heartbeat_record(worker, {"at": time.time(), "pid": os.getpid()})
+
+    def heartbeats(self) -> dict[str, float]:
+        """``{worker: last heartbeat epoch seconds}`` for every worker."""
+        return {
+            worker: float(record.get("at", 0.0))
+            for worker, record in self.heartbeat_records().items()
+        }
+
     def save_heartbeat_record(self, worker: str, record: dict) -> None:
         """Upsert one worker's heartbeat row (latest-wins)."""
         self._put("heartbeats", worker, record)
@@ -1473,33 +755,21 @@ class SqliteBackend(ResultsBackend):
         return {key: json.loads(payload) for key, payload in rows}
 
     # -- introspection ---------------------------------------------------
-    def iter_point_records(self) -> Iterator[tuple[str, dict]]:
-        """One query over all point rows (cheaper than per-key loads)."""
-        if not self.path.exists():
-            return
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key, payload FROM artifacts WHERE kind = 'points' ORDER BY key"
-            ).fetchall()
-        for key, payload in rows:
-            try:
-                yield key, json.loads(payload)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"corrupt points row {key!r} in {self.path}: {exc}"
-                ) from exc
-
     def queue_stats(
         self,
         *,
         claim_info: dict[str, dict] | None = None,
         quarantined: "list[str] | None" = None,
     ) -> dict:
-        """All aggregate counts in one connection (watch-loop friendly).
+        """Cheap aggregate counts for ``store stats`` / ``store watch``.
 
-        Prefetched ``claim_info``/``quarantined`` (see the base method)
-        take precedence over the freshly queried values, so a caller's
-        snapshot stays internally consistent.
+        Everything here is a count or an age from one connection — no
+        point payloads are read, so polling this in a watch loop stays
+        cheap even on 10⁴+-point stores.  A caller that already fetched
+        the claim table or the quarantine listing for its own display
+        (the monitor does both) passes them in; they take precedence
+        over the freshly queried values, so one snapshot stays
+        internally consistent.
         """
         stats = {
             "backend": self.kind,
@@ -1561,6 +831,20 @@ class SqliteBackend(ResultsBackend):
             stats["quarantined"] = int(kind_counts.get("quarantine", 0))
         return stats
 
+    def describe(self) -> dict:
+        """Artifact counts for ``minim-cdma store ls``."""
+        return {
+            "backend": self.kind,
+            "locator": self.locator,
+            "points": len(self.list_points()),
+            "manifests": len(self.list_manifests()),
+            "series": self.list_series(),
+            "tasks": len(self.pending_task_keys()),
+            "claims": len(self.list_claims()),
+            "quarantined": len(self.list_quarantined()),
+            "checkpoints": len(self.list_checkpoints()),
+        }
+
     # -- maintenance -----------------------------------------------------
     def compact(self) -> "SqliteBackend":
         """Reclaim free pages (``VACUUM``); returns self for chaining."""
@@ -1569,29 +853,76 @@ class SqliteBackend(ResultsBackend):
         return self
 
 
-def open_backend(path: Path | str, kind: str = "auto") -> ResultsBackend:
-    """Resolve a path (or backend locator) to a results backend.
-
-    ``kind`` forces ``"json"`` or ``"sqlite"``; the default ``"auto"``
-    sniffs: an existing file, a ``.sqlite``/``.sqlite3``/``.db`` suffix,
-    or a directory containing ``store.sqlite`` (the compaction layout)
-    selects :class:`SqliteBackend`, anything else the JSON directory
-    backend.  Workers use this to re-open the orchestrator's store from
-    its locator string alone.
-    """
-    path = Path(path)
-    if kind == "json":
-        return JsonDirBackend(path)
-    if kind == "sqlite":
-        return SqliteBackend(path)
-    if kind != "auto":
-        raise ConfigurationError(
-            f"unknown results-backend kind {kind!r} (expected auto/json/sqlite)"
-        )
-    if path.is_file():
-        return SqliteBackend(path)
-    if path.suffix in _SQLITE_SUFFIXES:
-        return SqliteBackend(path)
+def _is_legacy_json_dir(path: Path) -> bool:
+    """Whether ``path`` holds a JSON-directory store and no database yet."""
     if (path / _SQLITE_BASENAME).exists():
-        return SqliteBackend(path / _SQLITE_BASENAME)
-    return JsonDirBackend(path)
+        return False
+    return any((path / sub).is_dir() for sub in _JSON_SUBDIRS)
+
+
+def _json_files(directory: Path) -> Iterator[tuple[str, dict]]:
+    """``(stem, payload)`` for every ``*.json`` file of one legacy subdirectory."""
+    for path in sorted(directory.glob("*.json")):
+        try:
+            yield path.stem, json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"corrupt legacy artifact {path}: {exc}") from exc
+
+
+def import_json_dir(root: Path | str) -> SqliteBackend | None:
+    """Import a JSON-directory store into ``root/store.sqlite``, once.
+
+    The retired layout kept one JSON file per artifact
+    (``points/<key>.json``, ``sweeps/<sweep-key>.json``,
+    ``series/<id>.json``, ``checkpoints/<key>.json``, plus queue state).
+    Points, manifests and series are copied as they are; checkpoint
+    links travel only while a live manifest references one of their
+    points (the :meth:`SqliteBackend.gc_checkpoints` rule).  Queue
+    state is transient and is dropped.  The database is written under
+    a temporary name and renamed into place, so an interrupted import
+    leaves the JSON files authoritative; the JSON subdirectories are
+    removed afterwards.  Keys and payloads are unchanged, so existing
+    ``--results root`` invocations resume from the imported store.
+    Returns the imported store, or ``None`` when ``root`` holds no
+    JSON-directory store.
+    """
+    root = Path(root)
+    if not _is_legacy_json_dir(root):
+        return None
+    live = {
+        point
+        for _, manifest in _json_files(root / "sweeps")
+        for point in manifest.get("points", ())
+    }
+
+    def rows() -> Iterator[tuple[str, str, str]]:
+        for sub, kind in _JSON_TABLES.items():
+            for key, payload in _json_files(root / sub):
+                yield kind, key, json.dumps(payload, sort_keys=True)
+        for key, link in _json_files(root / "checkpoints"):
+            if any(point in live for point in link.get("points") or ()):
+                yield "checkpoints", key, json.dumps(link, sort_keys=True)
+
+    tmp = root / f".{_SQLITE_BASENAME}.{os.getpid()}.tmp"
+    tmp.unlink(missing_ok=True)
+    try:
+        with SqliteBackend(tmp)._connect() as conn:
+            conn.executemany("INSERT INTO artifacts (kind, key, payload) VALUES (?, ?, ?)", rows())
+        os.replace(tmp, root / _SQLITE_BASENAME)
+    finally:
+        tmp.unlink(missing_ok=True)
+    for sub in _JSON_SUBDIRS:
+        shutil.rmtree(root / sub, ignore_errors=True)
+    return SqliteBackend(root / _SQLITE_BASENAME)
+
+
+def open_backend(path: Path | str, kind: str = "sqlite") -> SqliteBackend:
+    """Open the results store at ``path`` (a file, directory or locator).
+
+    Workers use this to re-open the orchestrator's store from its
+    locator string alone.  ``kind`` only accepts ``"sqlite"``, the one
+    store there is.
+    """
+    if kind != "sqlite":
+        raise ConfigurationError(f"unknown results-store kind {kind!r} (expected 'sqlite')")
+    return SqliteBackend(path)

@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError
 from repro.sim.control import PrecisionTarget, RunController, resolve_precision
 from repro.sim.executor import Executor, TaskGroup, resolve_executor
 from repro.sim.registry import get_scenario
-from repro.sim.results import ResultsBackend, seed_token, spec_digest
+from repro.sim.results import SqliteBackend, seed_token, spec_digest
 from repro.sim.results import point_key as _point_key
 from repro.sim.runner import resolve_runs
 from repro.sim.scenarios import ScenarioSpec, resolve_sweep
@@ -233,7 +233,7 @@ def plan_additional_tasks(
 # Stage 2: claim
 # ----------------------------------------------------------------------
 def claim_cached(
-    groups: Sequence[TaskGroup], store: ResultsBackend | None, resume: bool
+    groups: Sequence[TaskGroup], store: SqliteBackend | None, resume: bool
 ) -> tuple[dict[tuple[int, int], list], list[TaskGroup]]:
     """Claim stage: split planned groups into cached results and pending work.
 
@@ -269,7 +269,7 @@ def run_sweep(
     seed: int = _DEFAULT_SEED,
     strategies: Sequence[str] | None = None,
     processes: int | None = None,
-    store: ResultsBackend | None = None,
+    store: SqliteBackend | None = None,
     resume: bool = True,
     executor: Executor | str | None = None,
     warm_start: bool | None = None,
@@ -384,10 +384,10 @@ def run_sweep(
             "runs": sweep.runs,
             "seed": sweep.seed,
             "executor": exec_.name,
-            # the orchestrator's conflict core (array/sparse/dense) — an
-            # audit stamp, never a result discriminator: cores are
-            # byte-identical by contract
-            "core": default_core(),
+            # the orchestrator's conflict core (array/sparse/dense) at the
+            # sweep's largest population — an audit stamp, never a result
+            # discriminator: cores are byte-identical by contract
+            "core": default_core(max(point.n for point in sweep.points)),
             "points": [
                 keys[(i, r)]
                 for i in range(len(sweep.points))

@@ -61,3 +61,14 @@ def line_graph() -> AdHocDigraph:
     return build_digraph(
         NodeConfig(i, 10.0 * i, 0.0, tx_range=12.0) for i in range(1, 6)
     )
+
+
+@pytest.fixture(params=["dir", "file"])
+def store_path(request, tmp_path):
+    """A results-store locator in each form the path rule accepts.
+
+    ``dir`` is a suffix-less path that resolves to ``DIR/store.sqlite``;
+    ``file`` names the database file itself. Stores reopened from their
+    locator (pool children, workers) must land on the same file either way.
+    """
+    return tmp_path / ("store" if request.param == "dir" else "store.sqlite")

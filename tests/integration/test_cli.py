@@ -236,20 +236,10 @@ class TestWorkerAndStoreCommands:
         assert "sqlite store" in out
         assert "scenario-sparse-long-range" in out
 
-    def test_store_compact_and_migrate(self, tmp_path, capsys):
-        src = tmp_path / "json-store"
-        self._seed_store(src)
-        rc = main(["store", "migrate", str(src), str(tmp_path / "copy.sqlite")])
-        assert rc == 0
-        assert "migrated 3 point(s)" in capsys.readouterr().out
-        rc = main(["store", "compact", str(src)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "compacted 3 point file(s)" in out
-        assert (src / "store.sqlite").exists()
-        assert not (src / "points").exists()
-
-    def test_store_migrate_requires_dest(self, tmp_path, capsys):
-        rc = main(["store", "migrate", str(tmp_path / "x")])
-        assert rc == 2
-        assert "DEST" in capsys.readouterr().err
+    def test_directory_results_flag_resolves_to_store_sqlite(self, tmp_path, capsys):
+        root = tmp_path / "results-store"
+        self._seed_store(root)
+        assert [p.name for p in root.iterdir()] == ["store.sqlite"]
+        capsys.readouterr()
+        assert main(["store", "ls", str(root)]) == 0
+        assert f"sqlite store {root / 'store.sqlite'}" in capsys.readouterr().out

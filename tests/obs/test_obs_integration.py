@@ -78,7 +78,7 @@ def test_worker_executor_emits_queue_events_and_heartbeats(tmp_path):
     from repro.sim.results import open_backend
 
     path = tmp_path / "trace.jsonl"
-    backend = open_backend(tmp_path / "store", "json")
+    backend = open_backend(tmp_path / "store")
     obs.enable(path)
     try:
         run_sweep(_SPEC, runs=1, seed=42, store=backend, executor="worker")

@@ -17,7 +17,7 @@ from repro.sim.control import (
     z_score,
 )
 from repro.sim.registry import get_scenario
-from repro.sim.results import JsonDirBackend, SqliteBackend
+from repro.sim.results import SqliteBackend
 from repro.sim.sweep import build_sweep, plan_additional_tasks, plan_tasks, run_sweep
 
 
@@ -208,10 +208,9 @@ class TestSeedPrefixStability:
 
 
 class TestAdaptiveRunSweep:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_reaches_target_under_the_fixed_budget_and_recaches(self, tmp_path, backend_cls):
-        # the ISSUE acceptance criterion end to end
-        store = backend_cls(tmp_path / "store")
+    def test_reaches_target_under_the_fixed_budget_and_recaches(self, store_path):
+        # the adaptive acceptance criterion end to end
+        store = SqliteBackend(store_path)
         spec = noisy_spec()
         ctrl = RunController(SMOKE_TARGET)
         first = run_sweep(spec, runs=2, seed=3, store=store, precision=ctrl)

@@ -21,7 +21,7 @@ from repro.sim.executor import (
     run_worker,
 )
 from repro.sim.registry import get_scenario
-from repro.sim.results import JsonDirBackend, SqliteBackend
+from repro.sim.results import SqliteBackend
 from repro.sim.sweep import build_sweep, plan_tasks, run_sweep
 
 
@@ -44,14 +44,13 @@ def paired_spec():
 
 
 # ----------------------------------------------------------------------
-# Cross-executor / cross-backend series identity (acceptance criterion)
+# Cross-executor series identity (acceptance criterion)
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     @pytest.fixture(scope="class")
     def reference(self):
         return run_sweep(tiny_spec(), runs=2, seed=3)
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
     @pytest.mark.parametrize(
         "executor",
         [
@@ -63,47 +62,32 @@ class TestExecutorParity:
         ],
         ids=["serial", "process2", "worker", "serial-name", "worker-name"],
     )
-    def test_same_series_for_every_executor_and_backend(
-        self, tmp_path, reference, backend_cls, executor
-    ):
-        store = backend_cls(tmp_path / "store")
+    def test_same_series_for_every_executor(self, store_path, reference, executor):
+        store = SqliteBackend(store_path)
         series = run_sweep(tiny_spec(), runs=2, seed=3, store=store, executor=executor)
         assert series.metrics == reference.metrics
         assert series.stderr == reference.stderr
         assert series.x_values == reference.x_values
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_paired_sweep_parity_across_executors(self, tmp_path, backend_cls):
+    def test_paired_sweep_parity_across_executors(self, tmp_path, store_path):
         # warm-start groups must not change results on any executor
         ref = run_sweep(paired_spec(), runs=2, seed=5, warm_start=False)
         for sub, executor in (("a", "serial"), ("b", "worker")):
-            store = backend_cls(tmp_path / sub)
+            store = SqliteBackend(tmp_path / sub / store_path.name)
             series = run_sweep(paired_spec(), runs=2, seed=5, store=store, executor=executor)
             assert series.metrics == ref.metrics
             assert series.stderr == ref.stderr
 
     @pytest.mark.parametrize("executor", ["serial", "process", "worker"])
-    def test_no_resume_recomputes_on_every_executor(self, tmp_path, executor):
+    def test_no_resume_recomputes_on_every_executor(self, store_path, executor):
         # resume=False must force recomputation even where artifacts
         # pre-exist — the worker queue may not serve them as "done"
-        store = SqliteBackend(tmp_path / "store.sqlite")
+        store = SqliteBackend(store_path)
         run_sweep(tiny_spec(), runs=1, seed=3, store=store)
         again = run_sweep(
             tiny_spec(), runs=1, seed=3, store=store, resume=False, executor=executor
         )
         assert "2 points computed, 0 from cache" in again.notes
-
-    def test_forced_backend_kind_survives_process_fanout(self, tmp_path):
-        # a JSON store whose directory happens to carry a sqlite-ish
-        # suffix: pool children must re-open it as JSON, not re-sniff
-        from repro.sim.results import open_backend
-
-        store = open_backend(tmp_path / "weird.sqlite", "json")
-        assert store.kind == "json"
-        series = run_sweep(tiny_spec(), runs=2, seed=3, store=store, processes=2)
-        ref = run_sweep(tiny_spec(), runs=2, seed=3)
-        assert series.metrics == ref.metrics
-        assert (tmp_path / "weird.sqlite" / "points").is_dir()
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
@@ -153,7 +137,7 @@ class TestTaskPayload:
         from repro.sim.executor import _execute_group_task, group_payload
         from repro.sim.timeline import _ExecState
 
-        backend = JsonDirBackend(tmp_path / "store")
+        backend = SqliteBackend(tmp_path / "store")
         (group,) = plan_tasks(build_sweep(paired_spec(), runs=1, seed=5))
         assert group.warm and len(group.points) == 2
         real = _ExecState.result
@@ -167,7 +151,7 @@ class TestTaskPayload:
 
         monkeypatch.setattr(_ExecState, "result", dying_result)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            _execute_group_task((group_payload(group), (backend.locator, backend.kind)))
+            _execute_group_task((group_payload(group), backend.locator))
         assert backend.load_point(group.keys[0]) is not None  # member 1 survived
         assert backend.load_point(group.keys[1]) is None
         monkeypatch.setattr(_ExecState, "result", real)
@@ -186,9 +170,8 @@ def _publish(backend, spec, runs=1, seed=3):
 
 
 class TestWorkerLoop:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_run_worker_drains_queue(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_run_worker_drains_queue(self, store_path):
+        backend = SqliteBackend(store_path)
         groups = _publish(backend, tiny_spec())
         computed = run_worker(backend, once=True)
         assert computed == len(groups)
@@ -288,7 +271,7 @@ class TestWorkerLoop:
             group_from_payload(payload)
 
     def test_worker_idle_exit(self, tmp_path):
-        backend = JsonDirBackend(tmp_path / "store")
+        backend = SqliteBackend(tmp_path / "store")
         start = time.monotonic()
         assert run_worker(backend, poll=0.01, max_idle=0.05) == 0
         assert time.monotonic() - start < 5.0
@@ -333,7 +316,7 @@ class TestWorkerLoop:
             context = backend.load_point_record(group.keys[0])["context"]
             assert context["worker"] == "worker-test-7"
             assert context["saved_at"] > 0
-            assert context["core"] in {"array", "dict", "dense"}
+            assert context["core"] in {"array", "sparse", "dense"}
 
     def test_worker_executor_fails_loudly_on_quarantined_group(self, tmp_path):
         # the orchestrator must not wait forever on a parked group — it
@@ -401,24 +384,21 @@ class TestWorkerLoop:
 # Store-backed checkpoint links: cross-process prefix sharing
 # ----------------------------------------------------------------------
 class TestWorkerCheckpointLinks:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_worker_drain_stores_delta_links(self, tmp_path, backend_cls, monkeypatch):
+    def test_worker_drain_stores_delta_links(self, store_path):
         # a warm group walked by a worker persists its boundary states
         # as delta links in the store's checkpoint table
-        monkeypatch.delenv("REPRO_CKPT_STORE", raising=False)
-        backend = backend_cls(tmp_path / "store")
+        backend = SqliteBackend(store_path)
         _publish(backend, paired_spec(), runs=1, seed=3)
         assert run_worker(backend, once=True) >= 1
         stats = backend.checkpoint_stats()
         assert stats["count"] > 0
         assert stats["writes"] >= stats["count"]
 
-    def test_deeper_sweep_resumes_from_another_workers_links(self, tmp_path, monkeypatch):
+    def test_deeper_sweep_resumes_from_another_workers_links(self, tmp_path):
         # the cross-process pickup story: worker A drains a paired sweep,
         # worker B (a fresh process state — nothing warm in memory) drains
         # a deeper sweep over the same axis and serves the shared prefix
         # from A's stored links instead of replaying it
-        monkeypatch.delenv("REPRO_CKPT_STORE", raising=False)
         backend = SqliteBackend(tmp_path / "store.sqlite")
         spec = paired_spec()
         _publish(backend, spec, runs=1, seed=3)
@@ -433,17 +413,9 @@ class TestWorkerCheckpointLinks:
         assert series.metrics == ref.metrics
         assert series.stderr == ref.stderr
 
-    def test_env_kill_switch_disables_link_writes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CKPT_STORE", "0")
-        backend = SqliteBackend(tmp_path / "store.sqlite")
-        _publish(backend, paired_spec(), runs=1, seed=3)
-        run_worker(backend, once=True)
-        assert backend.checkpoint_stats()["count"] == 0
-
-    def test_cold_groups_never_write_links(self, tmp_path, monkeypatch):
+    def test_cold_groups_never_write_links(self, tmp_path):
         # unpaired sweeps plan singleton (cold) groups; serializing their
         # boundaries would be pure overhead, so the scope stays off
-        monkeypatch.delenv("REPRO_CKPT_STORE", raising=False)
         backend = SqliteBackend(tmp_path / "store.sqlite")
         groups = _publish(backend, tiny_spec(), runs=1, seed=3)
         assert all(not g.warm for g in groups)
@@ -455,53 +427,49 @@ class TestWorkerCheckpointLinks:
 # Claim + save races across real processes (satellite: store concurrency)
 # ----------------------------------------------------------------------
 def _claim_once(args):
-    locator, kind, key, owner = args
+    locator, key, owner = args
     from repro.sim.results import open_backend
 
-    return open_backend(locator, kind).try_claim(key, owner)
+    return open_backend(locator).try_claim(key, owner)
 
 
 def _save_same_point(args):
-    locator, kind, key, payload = args
+    locator, key, payload = args
     from repro.sim.results import open_backend
 
-    backend = open_backend(locator, kind)
+    backend = open_backend(locator)
     for _ in range(20):
         backend.save_point(key, payload, context={"race": True})
     return backend.load_point(key)
 
 
 class TestStoreConcurrency:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_claim_is_exclusive_across_processes(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_claim_is_exclusive_across_processes(self, store_path):
+        backend = SqliteBackend(store_path)
         backend.save_task("k1", {"x": 1})  # materialize the store
-        args = [(backend.locator, backend.kind, "k1", f"owner-{i}") for i in range(4)]
+        args = [(backend.locator, "k1", f"owner-{i}") for i in range(4)]
         with ProcessPoolExecutor(max_workers=4) as pool:
             wins = list(pool.map(_claim_once, args))
         assert sum(wins) == 1
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_concurrent_saves_of_one_point_stay_consistent(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_concurrent_saves_of_one_point_stay_consistent(self, store_path):
+        backend = SqliteBackend(store_path)
         payload = [[1.0, 2.0, 3.0]]
-        args = [(backend.locator, backend.kind, "pt", payload)] * 4
+        args = [(backend.locator, "pt", payload)] * 4
         with ProcessPoolExecutor(max_workers=4) as pool:
             seen = list(pool.map(_save_same_point, args))
         assert all(s == payload for s in seen)
         assert backend.load_point("pt") == payload
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_stale_claim_is_broken(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_stale_claim_is_broken(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.try_claim("k", "dead-worker", ttl=0.05)
         assert not backend.try_claim("k", "live-worker", ttl=60.0)
         time.sleep(0.1)
         assert backend.try_claim("k", "live-worker", ttl=0.05)
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_renew_keeps_a_lease_fresh(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_renew_keeps_a_lease_fresh(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.try_claim("k", "slow-worker", ttl=1.0)
         time.sleep(0.6)
         backend.renew_claim("k", "slow-worker")
@@ -509,9 +477,8 @@ class TestStoreConcurrency:
         # 1.2s since claim but only 0.6s since renewal: still held
         assert not backend.try_claim("k", "thief", ttl=1.0)
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_renew_by_non_owner_or_absent_is_noop(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_renew_by_non_owner_or_absent_is_noop(self, store_path):
+        backend = SqliteBackend(store_path)
         backend.renew_claim("never-claimed", "anyone")  # must not raise
         assert backend.try_claim("k", "owner", ttl=0.2)
         backend.renew_claim("k", "impostor")
@@ -519,9 +486,8 @@ class TestStoreConcurrency:
         # the impostor's renew must not have extended the owner's lease
         assert backend.try_claim("k", "next", ttl=0.2)
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_release_is_idempotent(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_release_is_idempotent(self, store_path):
+        backend = SqliteBackend(store_path)
         backend.release_claim("never-claimed")
         assert backend.try_claim("k", "o")
         backend.release_claim("k")

@@ -11,10 +11,9 @@ from repro.sim.monitor import StoreMonitor
 from repro.sim.results import open_backend
 
 
-@pytest.fixture(params=["json", "sqlite"])
-def backend(request, tmp_path):
-    target = tmp_path / ("store" if request.param == "json" else "store.sqlite")
-    return open_backend(target, request.param)
+@pytest.fixture()
+def backend(store_path):
+    return open_backend(store_path)
 
 
 def test_heartbeat_round_trip(backend):
@@ -73,7 +72,7 @@ def test_worker_run_stamps_heartbeat(tmp_path):
     """A real drain loop heartbeats even when the queue is empty."""
     from repro.sim.executor import run_worker
 
-    backend = open_backend(tmp_path / "store", "json")
+    backend = open_backend(tmp_path / "store")
     run_worker(backend, once=True)
     beats = backend.heartbeats()
     assert len(beats) == 1

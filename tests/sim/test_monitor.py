@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.sim.monitor import CSV_COLUMNS, StoreMonitor, WorkerStats, export_csv
 from repro.sim.registry import get_scenario
-from repro.sim.results import JsonDirBackend, SqliteBackend
+from repro.sim.results import SqliteBackend
 from repro.sim.sweep import run_sweep
 
 
@@ -41,9 +41,8 @@ def _seeded_queue_state(backend):
 
 
 class TestStoreStats:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_snapshot_counts(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_snapshot_counts(self, store_path):
+        backend = SqliteBackend(store_path)
         _seeded_queue_state(backend)
         stats = StoreMonitor(backend).stats()
         assert stats.points == 3
@@ -53,29 +52,8 @@ class TestStoreStats:
         assert stats.claim_details["t-claimed"]["age"] >= 0
         assert stats.quarantine_reasons == {"t-poison": "2 broken leases"}
 
-    def test_stats_consistent_across_backends(self, tmp_path):
-        # the ISSUE acceptance criterion: identical state, identical stats
-        snapshots = []
-        for backend_cls, name in ((JsonDirBackend, "j"), (SqliteBackend, "s.sqlite")):
-            backend = backend_cls(tmp_path / name)
-            _seeded_queue_state(backend)
-            stats = StoreMonitor(backend).stats()
-            snapshots.append(
-                (
-                    stats.points,
-                    stats.tasks,
-                    stats.claims,
-                    stats.quarantined,
-                    stats.lease_breaks,
-                    stats.quarantine_reasons,
-                    {w.worker: w.points for w in stats.workers},
-                )
-            )
-        assert snapshots[0] == snapshots[1]
-
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_per_worker_throughput(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_per_worker_throughput(self, store_path):
+        backend = SqliteBackend(store_path)
         _seeded_queue_state(backend)
         workers = {w.worker: w for w in StoreMonitor(backend).worker_stats()}
         assert workers["worker-a"].points == 2
@@ -141,9 +119,8 @@ class TestWatch:
 
 
 class TestExportCsv:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_point_rows_from_a_real_sweep(self, tmp_path, backend_cls):
-        store = backend_cls(tmp_path / "store")
+    def test_point_rows_from_a_real_sweep(self, tmp_path, store_path):
+        store = SqliteBackend(store_path)
         run_sweep(tiny_spec(), runs=2, seed=3, store=store)
         out = tmp_path / "points.csv"
         assert export_csv(store, out) == 4
@@ -154,8 +131,30 @@ class TestExportCsv:
         assert {row["run"] for row in rows} == {"0", "1"}
         assert all(row["strategy"] == "Minim" for row in rows)
         assert all(row["worker"].startswith("proc-") for row in rows)
-        assert all(row["core"] in {"array", "dict", "dense"} for row in rows)
+        assert all(row["core"] in {"array", "sparse", "dense"} for row in rows)
         assert all(float(row["recodings"]) >= 0 for row in rows)
+
+    def test_auto_promoted_points_record_the_sparse_core(self, tmp_path, monkeypatch):
+        # provenance stamps the core each point's population runs on: an
+        # unpinned run promotes to sparse at _SPARSE_AUTO_MIN nodes
+        from repro.sim.sweep import build_sweep
+        from repro.topology import digraph as digraph_mod
+
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+        monkeypatch.setattr(digraph_mod, "_SPARSE_AUTO_MIN", 8)
+        store = SqliteBackend(tmp_path / "s.sqlite")
+        run_sweep(tiny_spec(), runs=1, seed=3, store=store)  # n = 6 and 8
+        cores = {
+            record["context"]["sweep_value"]: record["context"]["core"]
+            for _, record in store.iter_point_records()
+        }
+        assert cores == {6.0: "array", 8.0: "sparse"}
+        out = tmp_path / "points.csv"
+        export_csv(store, out)
+        rows = {row["sweep_value"]: row["core"] for row in csv.DictReader(out.open())}
+        assert rows == {"6.0": "array", "8.0": "sparse"}
+        manifest = store.load_manifest(build_sweep(tiny_spec(), runs=1, seed=3).sweep_key)
+        assert manifest["core"] == "sparse"  # the sweep's largest population
 
     def test_delta_rounds_points_get_one_row_per_round(self, tmp_path):
         spec = replace(
@@ -196,11 +195,10 @@ class TestInspectQuarantined:
         assert backend.quarantine_task(group.key, reason="3 broken leases")
         return group
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_success_saves_points_and_requeues(self, tmp_path, backend_cls):
+    def test_success_saves_points_and_requeues(self, store_path):
         from repro.sim.monitor import inspect_quarantined
 
-        backend = backend_cls(tmp_path / "store")
+        backend = SqliteBackend(store_path)
         group = self._parked_real_group(backend)
         stream = io.StringIO()
         summary = inspect_quarantined(backend, group.key, stream=stream)
@@ -404,7 +402,7 @@ class TestAdaptiveCliFlags:
 
 
 def test_watch_sleeps_between_snapshots(tmp_path):
-    backend = JsonDirBackend(tmp_path / "store")
+    backend = SqliteBackend(tmp_path / "store")
     start = time.monotonic()
     StoreMonitor(backend).watch(interval=0.05, iterations=3, stream=io.StringIO())
     assert time.monotonic() - start >= 0.1  # two sleeps of 0.05s

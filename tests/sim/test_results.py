@@ -1,21 +1,22 @@
-"""The results backends: artifacts, manifests, series, and sweep resume."""
+"""The results store: artifacts, manifests, series, legacy import and sweep resume."""
 
 from __future__ import annotations
 
 import json
+import re
+import sqlite3
 
 import numpy as np
 import pytest
 
 from repro.analysis.series import ExperimentSeries
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.sim.registry import get_scenario
 from repro.sim.results import (
     CheckpointScope,
-    JsonDirBackend,
-    ResultsStore,
     SqliteBackend,
-    migrate_store,
+    import_json_dir,
     open_backend,
     seed_token,
     spec_digest,
@@ -32,6 +33,20 @@ def tiny_spec():
         strategies=("Minim",),
         sweep_values=(6.0, 8.0),
     )
+
+
+def _corrupt_row(store, kind, key):
+    """Overwrite one stored row's payload with invalid JSON."""
+    with sqlite3.connect(store.path) as conn:
+        conn.execute(
+            "UPDATE artifacts SET payload = '{not json' WHERE kind = ? AND key = ?", (kind, key)
+        )
+
+
+def _delete_rows(store, kind):
+    """Drop every stored row of one artifact kind."""
+    with sqlite3.connect(store.path) as conn:
+        conn.execute("DELETE FROM artifacts WHERE kind = ?", (kind,))
 
 
 class TestKeys:
@@ -54,59 +69,25 @@ class TestKeys:
 
 
 class TestStoreIO:
-    def test_point_roundtrip(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        assert store.load_point("abc") is None
-        store.save_point("abc", [[1.0, 2.0, 3.0]], context={"run": 0})
-        assert store.load_point("abc") == [[1.0, 2.0, 3.0]]
-        payload = json.loads(store.point_path("abc").read_text())
-        assert payload["context"] == {"run": 0}
-
     def test_corrupt_point_raises(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        store.point_path("bad").parent.mkdir(parents=True)
-        store.point_path("bad").write_text("{not json")
+        store = open_backend(tmp_path)
+        store.save_point("bad", [[1.0]])
+        _corrupt_row(store, "points", "bad")
         with pytest.raises(ConfigurationError, match="corrupt"):
             store.load_point("bad")
 
-    def test_series_roundtrip(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        series = ExperimentSeries(
-            experiment="exp-x",
-            x_label="N",
-            x_values=[1.0, 2.0],
-            metrics={"recodings": {"Minim": [1.0, 2.0]}},
-            runs=2,
-            stderr={"recodings": {"Minim": [0.1, 0.2]}},
-        )
-        store.save_series(series)
-        loaded = store.load_series("exp-x")
-        assert loaded == series
-        assert store.list_series() == ["exp-x"]
-
-    def test_missing_series_lists_catalog(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        with pytest.raises(ConfigurationError, match="no stored series"):
-            store.load_series("nope")
-
-    def test_results_store_is_the_json_backend(self):
-        # backwards compatibility: the pre-refactor class name resolves
-        assert ResultsStore is JsonDirBackend
-
     def test_corrupt_manifest_raises_with_path(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        path = store.manifest_path("bad")
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match=str(path)):
+        store = open_backend(tmp_path)
+        store.save_manifest("bad", {})
+        _corrupt_row(store, "manifests", "bad")
+        with pytest.raises(ConfigurationError, match=re.escape(str(store.path))):
             store.load_manifest("bad")
 
     def test_corrupt_series_raises_with_path(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        path = store.series_path("bad")
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match=str(path)):
+        store = open_backend(tmp_path)
+        store.save_series_dict("bad", {})
+        _corrupt_row(store, "series", "bad")
+        with pytest.raises(ConfigurationError, match=re.escape(str(store.path))):
             store.load_series("bad")
 
 
@@ -169,75 +150,135 @@ class TestSqliteBackend:
 
 
 class TestOpenBackend:
-    def test_sniffs_sqlite_suffix_and_existing_file(self, tmp_path):
-        assert open_backend(tmp_path / "a.sqlite").kind == "sqlite"
-        assert open_backend(tmp_path / "a.db").kind == "sqlite"
-        assert open_backend(tmp_path / "plain-dir").kind == "json"
-        sq = SqliteBackend(tmp_path / "made.sqlite")
-        sq.save_task("t", {})
-        assert open_backend(sq.path).kind == "sqlite"
+    def test_every_locator_opens_the_one_store(self, tmp_path):
+        for path in (tmp_path / "dir", tmp_path / "x.sqlite", tmp_path / "x.db"):
+            assert type(open_backend(path)) is SqliteBackend
+        assert type(open_backend(tmp_path / "p", "sqlite")) is SqliteBackend
+        assert open_backend(tmp_path / "dir").path == tmp_path / "dir" / "store.sqlite"
+        assert open_backend(tmp_path / "x.sqlite").path == tmp_path / "x.sqlite"
+
+    def test_explicit_sqlite_path_creates_exactly_that_file(self, tmp_path):
+        store = open_backend(tmp_path / "store.sqlite", "sqlite")
+        store.save_task("t", {})
+        assert [p.name for p in tmp_path.iterdir()] == ["store.sqlite"]
 
     def test_dir_with_store_sqlite_routes_to_sqlite(self, tmp_path):
         SqliteBackend(tmp_path / "store.sqlite").save_task("t", {})
         backend = open_backend(tmp_path)
-        assert backend.kind == "sqlite"
+        assert backend.path == tmp_path / "store.sqlite"
+        assert backend.load_task("t") == {}
 
-    def test_forced_kinds_and_bad_kind(self, tmp_path):
-        assert open_backend(tmp_path, "json").kind == "json"
-        assert open_backend(tmp_path / "x", "sqlite").kind == "sqlite"
-        with pytest.raises(ConfigurationError, match="unknown results-backend"):
-            open_backend(tmp_path, "parquet")
+    @pytest.mark.parametrize("kind", ["json", "auto", "parquet"])
+    def test_other_kinds_are_rejected(self, tmp_path, kind):
+        with pytest.raises(ConfigurationError, match="unknown results-store kind"):
+            open_backend(tmp_path, kind)
 
     def test_locator_round_trips(self, tmp_path):
-        for backend in (JsonDirBackend(tmp_path / "j"), SqliteBackend(tmp_path / "s.sqlite")):
+        for path in (tmp_path / "dir", tmp_path / "s.sqlite"):
+            backend = open_backend(path)
+            backend.save_task("t", {})
             reopened = open_backend(backend.locator)
-            assert reopened.kind == backend.kind
             assert reopened.locator == backend.locator
+            assert reopened.load_task("t") == {}
 
 
-class TestBackendParity:
-    def test_sweep_series_identical_on_json_and_sqlite(self, tmp_path):
-        # the ISSUE acceptance criterion: same spec+seed, either backend
-        spec = tiny_spec()
-        js = run_sweep(spec, runs=2, seed=3, store=JsonDirBackend(tmp_path / "j"))
-        sq = run_sweep(spec, runs=2, seed=3, store=SqliteBackend(tmp_path / "s.sqlite"))
-        assert js.metrics == sq.metrics
-        assert js.stderr == sq.stderr
-        assert js.x_values == sq.x_values
+class TestLegacyJsonImport:
+    """A directory in the retired one-JSON-file-per-artifact layout."""
 
-    def test_migrate_json_to_sqlite_preserves_everything(self, tmp_path):
-        src = JsonDirBackend(tmp_path / "j")
-        run_sweep(tiny_spec(), runs=1, seed=3, store=src)
-        dst = SqliteBackend(tmp_path / "s.sqlite")
-        counts = migrate_store(src, dst)
-        assert counts["points"] == 2 and counts["series"] == 1 and counts["manifests"] == 1
-        for key in src.list_points():
-            assert dst.load_point_record(key) == src.load_point_record(key)
-        exp = src.list_series()[0]
-        assert dst.load_series(exp) == src.load_series(exp)
-        # and back again
-        back = JsonDirBackend(tmp_path / "j2")
-        migrate_store(dst, back)
-        assert back.load_series(exp) == src.load_series(exp)
+    def _link(self, points):
+        return {"schema": 1, "kind": "exec-delta", "base": None, "version": 1, "points": points}
 
-    def test_compact_folds_points_and_resume_survives(self, tmp_path):
-        store = JsonDirBackend(tmp_path / "st")
-        spec = tiny_spec()
-        run_sweep(spec, runs=1, seed=3, store=store)
-        compacted = store.compact()
-        assert compacted.kind == "sqlite"
-        assert not (tmp_path / "st" / "points").exists()
-        # open_backend on the original root now finds the sqlite store
-        reopened = open_backend(tmp_path / "st")
-        assert reopened.kind == "sqlite"
-        again = run_sweep(spec, runs=1, seed=3, store=reopened)
+    @pytest.fixture()
+    def legacy(self, tmp_path):
+        """Hand-written legacy layout holding a finished two-point sweep."""
+        source = SqliteBackend(tmp_path / "source.sqlite")
+        series = run_sweep(tiny_spec(), runs=1, seed=3, store=source)
+        root = tmp_path / "legacy"
+
+        def write(sub, key, payload):
+            (root / sub).mkdir(parents=True, exist_ok=True)
+            (root / sub / f"{key}.json").write_text(json.dumps(payload))
+
+        for key in source.list_points():
+            write("points", key, source.load_point_record(key))
+        (sweep_key,) = source.list_manifests()
+        manifest = source.load_manifest(sweep_key)
+        write("sweeps", sweep_key, manifest)
+        write("series", series.experiment, series.to_dict())
+        write("checkpoints", "live", self._link(manifest["points"][:1]))
+        write("checkpoints", "orphan", self._link(["gone"]))
+        write("tasks", "stale-task", {"schema": 1})
+        return root
+
+    def test_opening_refuses_with_the_compact_hint(self, legacy):
+        with pytest.raises(ConfigurationError, match="store compact"):
+            open_backend(legacy)
+        assert not (legacy / "store.sqlite").exists()
+
+    def test_store_compact_imports_live_links_and_removes_the_json(self, legacy, capsys):
+        assert main(["store", "compact", str(legacy)]) == 0
+        assert "compacted 2 point file(s)" in capsys.readouterr().out
+        store = open_backend(legacy)
+        assert store.path == legacy / "store.sqlite"
+        assert len(store.list_points()) == 2 and len(store.list_manifests()) == 1
+        assert store.list_checkpoints() == ["live"]  # the orphan link did not travel
+        assert store.pending_task_keys() == []  # queue state is dropped
+        assert sorted(p.name for p in legacy.iterdir()) == ["store.sqlite"]
+
+    def test_imported_store_resumes_every_point(self, legacy):
+        import_json_dir(legacy)
+        again = run_sweep(tiny_spec(), runs=1, seed=3, store=open_backend(legacy))
         assert "0 points computed, 2 from cache" in again.notes
+        fresh = run_sweep(tiny_spec(), runs=1, seed=3)
+        assert again.metrics == fresh.metrics
+        assert again.stderr == fresh.stderr
+        assert again.x_values == fresh.x_values
+
+    def test_corrupt_legacy_file_aborts_the_import(self, legacy):
+        next((legacy / "points").iterdir()).write_text("{not json")
+        with pytest.raises(ConfigurationError, match="corrupt legacy artifact"):
+            import_json_dir(legacy)
+        assert [p for p in legacy.iterdir() if p.is_file()] == []  # no partial database
+        assert (legacy / "points").is_dir()
+
+    def test_import_keeps_every_payload_unchanged(self, legacy):
+        expected = {
+            sub: {p.stem: json.loads(p.read_text()) for p in (legacy / sub).iterdir()}
+            for sub in ("points", "sweeps", "series")
+        }
+        store = import_json_dir(legacy)
+        assert {k: store.load_point_record(k) for k in store.list_points()} == expected["points"]
+        assert {k: store.load_manifest(k) for k in store.list_manifests()} == expected["sweeps"]
+        assert {k: store.load_series_dict(k) for k in store.list_series()} == expected["series"]
+
+    def test_second_compact_only_vacuums(self, legacy, capsys):
+        assert main(["store", "compact", str(legacy)]) == 0
+        capsys.readouterr()
+        assert main(["store", "compact", str(legacy)]) == 0
+        assert "vacuumed" in capsys.readouterr().out
+        store = open_backend(legacy)
+        assert len(store.list_points()) == 2 and store.list_checkpoints() == ["live"]
+
+    @pytest.mark.parametrize(
+        "argv", [["worker", "--once", "--results"], ["store", "ls"]], ids=["worker", "store-ls"]
+    )
+    def test_commands_refuse_with_the_compact_hint(self, legacy, argv, capsys):
+        assert main([*argv, str(legacy)]) == 2
+        assert "store compact" in capsys.readouterr().err
+        assert not (legacy / "store.sqlite").exists()
+
+    def test_nothing_to_import_elsewhere(self, tmp_path, capsys):
+        store = open_backend(tmp_path / "s.sqlite")
+        store.save_task("t", {})
+        assert import_json_dir(tmp_path / "s.sqlite") is None
+        assert import_json_dir(tmp_path / "empty-dir") is None
+        assert main(["store", "compact", str(store.path)]) == 0
+        assert "vacuumed" in capsys.readouterr().out
 
 
 class TestChurnAndQuarantine:
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_lease_break_counters(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_lease_break_counters(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.lease_breaks("k") == 0
         assert backend.record_lease_break("k") == 1
         assert backend.record_lease_break("k") == 2
@@ -247,11 +288,10 @@ class TestChurnAndQuarantine:
         backend.reset_lease_breaks("k")  # idempotent
         assert backend.lease_breaks("k") == 0
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_breaking_a_stale_lease_is_counted(self, tmp_path, backend_cls):
+    def test_breaking_a_stale_lease_is_counted(self, store_path):
         import time as _time
 
-        backend = backend_cls(tmp_path / "store")
+        backend = SqliteBackend(store_path)
         assert backend.try_claim("k", "dead", ttl=0.05)
         _time.sleep(0.1)
         assert backend.try_claim("k", "breaker", ttl=0.05)
@@ -261,9 +301,8 @@ class TestChurnAndQuarantine:
         assert backend.try_claim("k", "next", ttl=60.0)
         assert backend.lease_breaks("k") == 1
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_quarantine_round_trip(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_quarantine_round_trip(self, store_path):
+        backend = SqliteBackend(store_path)
         backend.save_task("k", {"schema": 1, "x": 2})
         backend.record_lease_break("k")
         assert backend.quarantine_task("k", reason="why")
@@ -280,9 +319,8 @@ class TestChurnAndQuarantine:
         assert backend.requeue_quarantined("k") is False
         assert backend.quarantine_task("never-published") is False
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_claim_info_reports_owner_and_age(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_claim_info_reports_owner_and_age(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.claim_info() == {}
         assert backend.try_claim("k", "worker-x", ttl=60.0)
         info = backend.claim_info()
@@ -290,9 +328,8 @@ class TestChurnAndQuarantine:
         assert info["k"]["owner"] == "worker-x"
         assert 0.0 <= info["k"]["age"] < 30.0
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_claim_age_single_key_lookup(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_claim_age_single_key_lookup(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.claim_age("k") is None
         assert backend.try_claim("k", "worker-x", ttl=60.0)
         age = backend.claim_age("k")
@@ -300,27 +337,8 @@ class TestChurnAndQuarantine:
         backend.release_claim("k")
         assert backend.claim_age("k") is None
 
-    def test_racing_breakers_count_one_eviction_once(self, tmp_path):
-        # the breaker that goes on to WIN the claim does the accounting;
-        # a breaker that loses the race must not also bump the counter
-        import time as _time
-
-        backend = JsonDirBackend(tmp_path / "store")
-        assert backend.try_claim("k", "dead", ttl=0.05)
-        _time.sleep(0.1)
-        # simulate the losing breaker: the lease vanished under it (a
-        # peer broke it first) and the peer's fresh claim now exists
-        backend.claim_path("k").unlink()
-        assert backend.try_claim("k", "winner", ttl=0.05)
-        assert backend.lease_breaks("k") == 0  # winner saw no stale lease
-        # the normal single-breaker path still counts exactly once
-        _time.sleep(0.1)
-        assert backend.try_claim("k", "breaker", ttl=0.05)
-        assert backend.lease_breaks("k") == 1
-
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_queue_stats_aggregates(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_queue_stats_aggregates(self, store_path):
+        backend = SqliteBackend(store_path)
         empty = backend.queue_stats()
         assert empty["tasks"] == empty["claims"] == empty["quarantined"] == 0
         backend.save_task("a", {"schema": 1})
@@ -335,9 +353,8 @@ class TestChurnAndQuarantine:
         assert stats["quarantined"] == 1 and stats["lease_breaks"] == 1
         assert stats["backend"] == backend.kind and stats["locator"] == backend.locator
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_iter_point_records_matches_per_key_loads(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_iter_point_records_matches_per_key_loads(self, store_path):
+        backend = SqliteBackend(store_path)
         for i in range(3):
             backend.save_point(f"k{i}", [[float(i)]], context={"run": i})
         records = dict(backend.iter_point_records())
@@ -360,9 +377,8 @@ class TestCheckpointTable:
             payload["points"] = points
         return payload
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_put_is_conditional_first_writer_wins(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_put_is_conditional_first_writer_wins(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.get_checkpoint("k1") is None
         assert backend.put_checkpoint("k1", self._link(version=3)) is True
         # content keys mean racers carry identical payloads; the loser's
@@ -371,9 +387,8 @@ class TestCheckpointTable:
         assert backend.get_checkpoint("k1")["version"] == 3
         assert backend.list_checkpoints() == ["k1"]
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_delete_and_stats(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_delete_and_stats(self, store_path):
+        backend = SqliteBackend(store_path)
         backend.put_checkpoint("a", self._link())
         backend.put_checkpoint("b", self._link(base="a", version=20))
         backend.get_checkpoint("a")
@@ -386,17 +401,15 @@ class TestCheckpointTable:
         backend.delete_checkpoint("a")  # idempotent
         assert backend.list_checkpoints() == ["b"]
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_queue_stats_carries_the_checkpoint_row(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_queue_stats_carries_the_checkpoint_row(self, store_path):
+        backend = SqliteBackend(store_path)
         assert backend.queue_stats()["checkpoints"].get("count", 0) == 0
         backend.put_checkpoint("a", self._link())
         stats = backend.queue_stats()["checkpoints"]
         assert stats["count"] == 1 and stats["bytes"] > 0
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_scope_stamps_the_groups_points(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_scope_stamps_the_groups_points(self, store_path):
+        backend = SqliteBackend(store_path)
         scope = CheckpointScope(backend, points=["pA", "pB"])
         assert scope.put_checkpoint("k", self._link()) is True
         assert backend.get_checkpoint("k")["points"] == ["pA", "pB"]
@@ -405,9 +418,8 @@ class TestCheckpointTable:
         bare.put_checkpoint("k2", self._link())
         assert "points" not in backend.get_checkpoint("k2")
 
-    @pytest.mark.parametrize("backend_cls", [JsonDirBackend, SqliteBackend])
-    def test_gc_keeps_only_manifest_referenced_links(self, tmp_path, backend_cls):
-        backend = backend_cls(tmp_path / "store")
+    def test_gc_keeps_only_manifest_referenced_links(self, store_path):
+        backend = SqliteBackend(store_path)
         backend.save_manifest("sw", {"points": ["pA", "pB"]})
         backend.put_checkpoint("live", self._link(points=["pA"]))
         backend.put_checkpoint("orphan", self._link(points=["gone"]))
@@ -417,32 +429,20 @@ class TestCheckpointTable:
         assert backend.list_checkpoints() == ["live"]
         assert backend.checkpoint_stats()["gc_removed"] == 2
 
-    def test_migrate_carries_checkpoints_both_ways(self, tmp_path):
-        src = JsonDirBackend(tmp_path / "j")
-        src.put_checkpoint("k", self._link(points=["p"]))
-        dst = SqliteBackend(tmp_path / "s.sqlite")
-        counts = migrate_store(src, dst)
-        assert counts["checkpoints"] == 1
-        assert dst.get_checkpoint("k") == src.get_checkpoint("k")
-        back = JsonDirBackend(tmp_path / "j2")
-        assert migrate_store(dst, back)["checkpoints"] == 1
-        assert back.get_checkpoint("k") == src.get_checkpoint("k")
-
-    def test_compact_gcs_then_folds_checkpoints_away(self, tmp_path):
-        store = JsonDirBackend(tmp_path / "st")
-        store.save_manifest("sw", {"points": ["pA"]})
-        store.put_checkpoint("live", self._link(points=["pA"]))
-        store.put_checkpoint("orphan", self._link(points=["zz"]))
-        compacted = store.compact()
-        assert compacted.kind == "sqlite"
-        assert not (tmp_path / "st" / "checkpoints").exists()
-        # the fold prunes unreferenced links and carries the survivors
-        assert compacted.list_checkpoints() == ["live"]
+    def test_store_compact_gcs_orphan_links_then_vacuums(self, store_path, capsys):
+        backend = SqliteBackend(store_path)
+        backend.save_manifest("sw", {"points": ["pA"]})
+        backend.put_checkpoint("live", self._link(points=["pA"]))
+        backend.put_checkpoint("orphan", self._link(points=["zz"]))
+        assert main(["store", "compact", str(store_path)]) == 0
+        assert "(1 checkpoint link(s) pruned)" in capsys.readouterr().out
+        assert backend.list_checkpoints() == ["live"]
+        assert backend.load_manifest("sw") == {"points": ["pA"]}
 
 
 class TestSweepResume:
     def test_identical_rerun_hits_cache_entirely(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         spec = tiny_spec()
         first = run_sweep(spec, runs=2, seed=3, store=store)
         assert "4 points computed, 0 from cache" in first.notes
@@ -452,7 +452,7 @@ class TestSweepResume:
         assert first.x_values == second.x_values
 
     def test_extending_runs_recomputes_only_new_points(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
         grown = run_sweep(spec, runs=2, seed=3, store=store)
@@ -461,14 +461,14 @@ class TestSweepResume:
         assert "2 points computed, 2 from cache" in grown.notes
 
     def test_no_resume_recomputes(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
         again = run_sweep(spec, runs=1, seed=3, store=store, resume=False)
         assert "2 points computed, 0 from cache" in again.notes
 
     def test_cache_is_spec_sensitive(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store)
         other_seed = run_sweep(spec, runs=1, seed=4, store=store)
@@ -479,31 +479,31 @@ class TestSweepResume:
         # real process pool), so a sweep that dies before assembling its
         # series still leaves resumable artifacts: wiping the manifest
         # and series must not force recomputation.
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=1, seed=3, store=store, processes=2)
-        for artifact in list(tmp_path.glob("sweeps/*")) + list(tmp_path.glob("series/*")):
-            artifact.unlink()
+        _delete_rows(store, "manifests")
+        _delete_rows(store, "series")
         again = run_sweep(spec, runs=1, seed=3, store=store)
         assert "0 points computed, 2 from cache" in again.notes
 
     def test_manifest_written(self, tmp_path):
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         spec = tiny_spec()
         run_sweep(spec, runs=2, seed=3, store=store)
         sweep = build_sweep(spec, runs=2, seed=3)
         manifest = store.load_manifest(sweep.sweep_key)
         assert manifest is not None
         assert manifest["computed"] == 4 and manifest["cached"] == 0
-        assert manifest["core"] in {"array", "dict", "dense"}
+        assert manifest["core"] in {"array", "sparse", "dense"}
         assert len(manifest["points"]) == 4
         for key in manifest["points"]:
-            assert store.point_path(key).exists()
+            assert store.load_point_record(key) is not None
 
     def test_cached_series_loadable_for_reports(self, tmp_path):
         from repro.analysis.report import panels_from_store, render_report
 
-        store = ResultsStore(tmp_path)
+        store = open_backend(tmp_path)
         run_sweep(tiny_spec(), runs=1, seed=3, store=store)
         panels = panels_from_store(
             store,

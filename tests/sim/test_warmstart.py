@@ -182,15 +182,18 @@ class TestWarmSweeps:
         assert all(not g.warm for g in groups)
 
     def test_partially_cached_warm_group_shrinks(self, tmp_path):
-        from repro.sim.results import JsonDirBackend
+        import sqlite3
 
-        store = JsonDirBackend(tmp_path)
+        from repro.sim.results import open_backend
+
+        store = open_backend(tmp_path)
         spec = paired_spec()
         full = run_sweep(spec, runs=1, seed=6, store=store)
         # drop one of the three point artifacts: the run's warm group
         # must shrink to the missing member instead of recomputing all
         victim = store.list_points()[0]
-        store.point_path(victim).unlink()
+        with sqlite3.connect(store.path) as conn:
+            conn.execute("DELETE FROM artifacts WHERE kind = 'points' AND key = ?", (victim,))
         again = run_sweep(spec, runs=1, seed=6, store=store)
         assert "1 points computed, 2 from cache" in again.notes
         assert again.metrics == full.metrics
