@@ -18,6 +18,7 @@ from repro.matching.hungarian import solve_max_weight_dense
 from repro.sim.network import AdHocNetwork
 from repro.sim.random_networks import sample_configs
 from repro.strategies.minim import MinimStrategy, plan_local_matching_recode
+from repro.strategies.minim.join import v1_weight_graph
 from repro.topology.builder import build_digraph
 from repro.topology.conflicts import conflict_matrix
 
@@ -48,6 +49,20 @@ def test_hungarian_60x80(benchmark):
     rng = np.random.default_rng(2)
     w = np.where(rng.random((60, 80)) < 0.4, rng.integers(1, 10, (60, 80)), 0).astype(float)
     pairs = benchmark(solve_max_weight_dense, w)
+    assert pairs
+
+
+@pytest.mark.parametrize("n, m", [(8, 14), (32, 38)], ids=["8x14", "32x38"])
+def test_hungarian_minim_v1(benchmark, n, m):
+    """The Minim workload's matrices: typical (8×14) and worst-case (32×38)."""
+    rng = np.random.default_rng(4)
+    v1 = list(range(n))
+    old = {u: int(rng.integers(1, m + 1)) for u in v1[:-1]} | {v1[-1]: None}
+    constraints = {u: {int(c) for c in rng.integers(1, m + 1, 4)} - {old[u]} for u in v1}
+    constraints[v1[-1]].add(m)
+    rows = v1_weight_graph(v1, old, constraints).weight_rows()
+    assert (len(rows), len(rows[0])) == (n, m)
+    pairs = benchmark(solve_max_weight_dense, rows)
     assert pairs
 
 

@@ -6,14 +6,16 @@ step 5, treating the matching algorithm "as a black box").  This package
 is that black box, implemented from scratch:
 
 * :class:`~repro.matching.bipartite.WeightedBipartiteGraph` — the graph
-  model (positive edge weights; absent edges are forbidden).
+  model, stored as dense weight rows (one list of floats per left
+  vertex; positive cells are edges, ``0.0`` marks a forbidden pair).
 * :func:`~repro.matching.hungarian.hungarian_matching` — maximum-weight
   (not necessarily perfect) matching via shortest augmenting paths with
-  potentials, O(n^2 m).
+  potentials, O(n^2 m), a scalar loop over those rows.
 * :func:`~repro.matching.hopcroft_karp.hopcroft_karp_matching` —
   maximum-cardinality matching (used by tests and ablations).
 * :mod:`~repro.matching.scipy_backend` — optional SciPy
-  ``linear_sum_assignment`` backend, used as an independent oracle.
+  ``linear_sum_assignment`` backend, used as an independent oracle of
+  the matched weight (it breaks equal-weight ties its own way).
 """
 
 from repro.matching.bipartite import MatchingResult, WeightedBipartiteGraph

@@ -290,19 +290,27 @@ def _claimed_compute(
 def _execute_group_task(args: tuple) -> list[list]:
     """Module-level pool target: recompute one group from its payload.
 
+    Pool children re-open the store from its locator (stores hold no
+    open handles, so they cross process boundaries as a path).
+    """
+    payload, locator = args
+    backend = None if locator is None else open_backend(locator)
+    return _execute_group(group_from_payload(payload), backend)
+
+
+def _execute_group(group: TaskGroup, backend: SqliteBackend | None) -> list[list]:
+    """Compute one group against an open store (or none).
+
     Each member's result is persisted *here*, in the executing process,
     the moment it completes — so every finished point of a
     partially-computed warm group survives an interrupted sweep (resume
     recovers it even if the orchestrator never returns from the
     fan-out).
     """
-    payload, locator = args
-    group = group_from_payload(payload)
-    if locator is None:
+    if backend is None:
         outs = compute_group(group)
         obs.flush_metrics()  # pool workers may be torn down without atexit
         return outs
-    backend = open_backend(locator)
     worker = f"proc-{os.getpid()}"
 
     def landed(m: int, out: list) -> None:
@@ -362,9 +370,11 @@ class SerialExecutor:
         backend: SqliteBackend | None,
         resume: bool = True,
     ) -> dict[tuple[int, int], list]:
-        """Run each group through the shared payload round-trip, serially."""
-        locator = None if backend is None else backend.locator
-        outs = [_execute_group_task((group_payload(g), locator)) for g in groups]
+        """Run each group through the shared payload round-trip, serially.
+
+        Every group computes against the caller's open ``backend``.
+        """
+        outs = [_execute_group(group_from_payload(group_payload(g)), backend) for g in groups]
         return _collect(groups, outs)
 
 

@@ -252,10 +252,7 @@ class SqliteBackend:
             ).fetchone()
         if row is None:
             return None
-        try:
-            return json.loads(row[0])
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"corrupt {kind} row {key!r} in {self.path}: {exc}") from exc
+        return _decode_row(kind, key, row[0], self.path)
 
     def _put(self, kind: str, key: str, payload: dict) -> None:
         with self._connect() as conn:
@@ -365,12 +362,7 @@ class SqliteBackend:
                 "SELECT key, payload FROM artifacts WHERE kind = 'points' ORDER BY key"
             ).fetchall()
         for key, payload in rows:
-            try:
-                yield key, json.loads(payload)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"corrupt points row {key!r} in {self.path}: {exc}"
-                ) from exc
+            yield key, _decode_row("points", key, payload, self.path)
 
     # -- manifests -------------------------------------------------------
     def save_manifest(self, sweep_key: str, manifest: dict) -> None:
@@ -432,16 +424,23 @@ class SqliteBackend:
                 (key, json.dumps(payload, sort_keys=True)),
             )
             created = cur.rowcount > 0
-        if created:
-            self._bump_checkpoint_meta("writes")
+            if created:
+                self._bump_checkpoint_meta(conn, "writes")
         if _met.ENABLED:
             _met.REGISTRY.inc("store.ckpt.write" if created else "store.ckpt.dup")
         return created
 
     def get_checkpoint(self, key: str) -> dict | None:
-        """The chain link stored under ``key``, or ``None`` if absent."""
-        record = self.load_checkpoint_record(key)
-        self._bump_checkpoint_meta("hits" if record is not None else "misses")
+        """The chain link stored under ``key``, or ``None`` if absent.
+
+        The read and the hit/miss tick share one connection.
+        """
+        with self._connect() as conn:
+            row = conn.execute(
+                "SELECT payload FROM artifacts WHERE kind = 'checkpoints' AND key = ?", (key,)
+            ).fetchone()
+            record = None if row is None else _decode_row("checkpoints", key, row[0], self.path)
+            self._bump_checkpoint_meta(conn, "hits" if record is not None else "misses")
         if _met.ENABLED:
             _met.REGISTRY.inc("store.ckpt.hit" if record is not None else "store.ckpt.miss")
         return record
@@ -463,8 +462,7 @@ class SqliteBackend:
 
         ``count``/``bytes`` are live table state from one aggregate
         query (no payload reads); the rest are cumulative fleet totals
-        from the meta row (best-effort — see
-        :meth:`_bump_checkpoint_meta`).
+        from the meta row (exact — see :meth:`_bump_checkpoint_meta`).
         """
         count, total = 0, 0
         if self.path.exists():
@@ -481,16 +479,23 @@ class SqliteBackend:
             field: int(meta.get(field, 0)) for field in ("hits", "misses", "writes", "gc_removed")
         }
 
-    def _bump_checkpoint_meta(self, field: str, by: int = 1) -> None:
-        """Best-effort fleet counter (read-modify-write; races lose ticks).
+    @staticmethod
+    def _bump_checkpoint_meta(conn: sqlite3.Connection, field: str, by: int = 1) -> None:
+        """Add ``by`` to one fleet counter inside the caller's transaction.
 
-        The meta row feeds ``store stats``' checkpoint line only — it is
-        never consulted by resume logic, so a lost increment under
-        concurrent workers costs nothing but display precision.
+        One atomic upsert of the ``meta/checkpoints`` row, so concurrent
+        workers never lose a tick and the caller opens no second
+        connection.  The row feeds ``store stats``' checkpoint line only;
+        resume logic never consults it.
         """
-        meta = self._get("meta", "checkpoints") or {}
-        meta[field] = int(meta.get(field, 0)) + by
-        self._put("meta", "checkpoints", meta)
+        path = f"$.{field}"
+        conn.execute(
+            "INSERT INTO artifacts (kind, key, payload) "
+            "VALUES ('meta', 'checkpoints', json_object(?, ?)) "
+            "ON CONFLICT (kind, key) DO UPDATE SET "
+            "payload = json_set(payload, ?, COALESCE(json_extract(payload, ?), 0) + ?)",
+            (field, by, path, path, by),
+        )
 
     def gc_checkpoints(self) -> dict:
         """Prune chain links no live sweep manifest references.
@@ -517,7 +522,8 @@ class SqliteBackend:
                 self.delete_checkpoint(key)
                 removed += 1
         if removed:
-            self._bump_checkpoint_meta("gc_removed", removed)
+            with self._connect() as conn:
+                self._bump_checkpoint_meta(conn, "gc_removed", removed)
         return {"kept": kept, "removed": removed}
 
     # -- tasks + claims --------------------------------------------------
@@ -851,6 +857,14 @@ class SqliteBackend:
         with self._connect() as conn:
             conn.execute("VACUUM")
         return self
+
+
+def _decode_row(kind: str, key: str, payload: str, db: Path) -> dict:
+    """One artifact row's JSON payload; a corrupt row raises ``ConfigurationError``."""
+    try:
+        return json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"corrupt {kind} row {key!r} in {db}: {exc}") from exc
 
 
 def _is_legacy_json_dir(path: Path) -> bool:

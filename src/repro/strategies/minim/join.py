@@ -27,7 +27,13 @@ deterministic, reproducible runs we refine ties lexicographically:
 (3) lower matched colors, (4) lower-id nodes keep their colors.  Each
 level is encoded at a separate magnitude in the integer edge weights, so
 the refinement only ever selects *among* maximum-weight matchings and
-all paper theorems continue to hold.
+all paper theorems continue to hold.  The levels do not make the optimum
+unique: two members that allow the same fresh colors can swap them at
+equal weight.  The Hungarian solver's augmenting-path order breaks those
+remaining ties, deterministically, so the ``"scipy"`` backend (whose
+solver breaks them its own way) is a weight oracle, not a drop-in: it
+finds the same matched weight and recode count, not always the same
+coloring.
 """
 
 from __future__ import annotations
@@ -79,6 +85,59 @@ class LocalRecodePlan:
     messages: int
 
 
+def v1_weight_graph(
+    v1_list: list[NodeId],
+    old_colors: dict[NodeId, Color | None],
+    constraints: dict[NodeId, set[Color]],
+    *,
+    old_color_weight: int = 3,
+    fresh_color_weight: int = 1,
+) -> WeightedBipartiteGraph:
+    """Steps 3-4 of Fig 3: the ``V1 × {1..max}`` graph to be matched.
+
+    Its right side is the palette ``1..max`` (so ``len(graph.right)`` is
+    ``max``).  Each ``V1`` member gets one dense weight row carrying the
+    lexicographic tie-breaking of the module docstring; every weight is
+    a positive integer (exact in float64) and ``0.0`` marks a forbidden
+    color.
+    """
+    if old_color_weight < 1 or fresh_color_weight < 1:
+        raise ValueError("weights must be positive integers")
+    # Step 3: the palette upper bound.
+    max_seen = 0
+    for u in v1_list:
+        old = old_colors.get(u)
+        if old is not None:
+            max_seen = max(max_seen, old)
+        forb = constraints[u]
+        if forb:
+            max_seen = max(max_seen, max(forb))
+
+    # Step 4: weight w·k1 + k2 + (max − k)·k3 + (|V1| − pos) for color k
+    # of the member at position pos, w the paper weight (3 or 1).
+    n_left = len(v1_list)
+    m_right = max_seen
+    k3 = n_left * n_left + 1  # low-color preference unit
+    k2 = n_left * m_right * k3 + n_left * n_left + 1  # cardinality unit
+    k1 = (n_left + 1) * k2  # paper-weight unit
+    palette = range(1, m_right + 1)
+    color_terms = [(m_right - k) * k3 for k in palette]
+    rows: list[list[float]] = []
+    for pos, u in enumerate(v1_list):
+        old = old_colors.get(u)
+        forbidden = constraints[u]
+        base = k2 + (n_left - pos)
+        fresh = fresh_color_weight * k1 + base
+        row = [
+            0.0 if k in forbidden else float(fresh + term)
+            for k, term in zip(palette, color_terms)
+        ]
+        if old is not None and old not in forbidden:
+            row[old - 1] = float(old_color_weight * k1 + base + color_terms[old - 1])
+        rows.append(row)
+    return WeightedBipartiteGraph.from_rows(v1_list, palette, rows)
+
+
 def solve_v1_assignment(
     v1_list: list[NodeId],
     old_colors: dict[NodeId, Color | None],
@@ -98,34 +157,14 @@ def solve_v1_assignment(
     Returns ``(new_colors, max_color_seen)`` where ``new_colors`` covers
     every ``V1`` member.
     """
-    if old_color_weight < 1 or fresh_color_weight < 1:
-        raise ValueError("weights must be positive integers")
-    # Step 3: the palette upper bound.
-    max_seen = 0
-    for u in v1_list:
-        old = old_colors.get(u)
-        if old is not None:
-            max_seen = max(max_seen, old)
-        forb = constraints[u]
-        if forb:
-            max_seen = max(max_seen, max(forb))
-
-    # Step 4: weighted bipartite graph with lexicographic tie-breaking
-    # (see module docstring).  All weights are positive integers.
-    n_left = len(v1_list)
-    m_right = max_seen
-    k3 = n_left * n_left + 1  # low-color preference unit
-    k2 = n_left * m_right * k3 + n_left * n_left + 1  # cardinality unit
-    k1 = (n_left + 1) * k2  # paper-weight unit
-    bip = WeightedBipartiteGraph(left=list(v1_list), right=list(range(1, m_right + 1)))
-    for pos, u in enumerate(v1_list):
-        old = old_colors.get(u)
-        forbidden = constraints[u]
-        for k in range(1, m_right + 1):
-            if k in forbidden:
-                continue
-            w = old_color_weight if k == old else fresh_color_weight
-            bip.add_edge(u, k, w * k1 + k2 + (m_right - k) * k3 + (n_left - pos))
+    bip = v1_weight_graph(
+        v1_list,
+        old_colors,
+        constraints,
+        old_color_weight=old_color_weight,
+        fresh_color_weight=fresh_color_weight,
+    )
+    max_seen = len(bip.right)
 
     # Step 5: maximum-weight matching; unmatched take fresh colors in
     # v1_list order (members ascending by id, then n).

@@ -31,7 +31,11 @@ class MinimStrategy(RecodingStrategy):
         Matching edge weights (paper: 3 and 1).  Exposed for the weight
         ablation bench; production uses the defaults.
     matching_backend:
-        ``"hungarian"`` (default) or ``"scipy"``.
+        ``"hungarian"`` (default) or ``"scipy"``.  Both find a
+        maximum-weight matching, but only the Hungarian augmenting order
+        breaks the remaining equal-weight ties the way the stored series
+        expect; ``"scipy"`` is a weight oracle, not a drop-in (same
+        recode counts, possibly different colorings).
     """
 
     name = "Minim"

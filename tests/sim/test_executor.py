@@ -159,6 +159,37 @@ class TestTaskPayload:
         assert "1 points computed, 1 from cache" in resumed.notes
 
 
+    def test_serial_sweep_reuses_the_callers_store(self, tmp_path, monkeypatch):
+        # the in-process executor computes every group against the open
+        # store: one SqliteBackend, one schema setup, for all four groups
+        import sqlite3
+
+        import repro.sim.results as results
+
+        inits, ddl = [], []
+        real_init, real_connect = SqliteBackend.__init__, sqlite3.connect
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(1)
+            real_init(self, *args, **kwargs)
+
+        def tracing_connect(*args, **kwargs):
+            conn = real_connect(*args, **kwargs)
+            conn.set_trace_callback(
+                lambda sql: ddl.append(sql) if sql.lstrip().upper().startswith("CREATE") else None
+            )
+            return conn
+
+        monkeypatch.setattr(SqliteBackend, "__init__", counting_init)
+        monkeypatch.setattr(results.sqlite3, "connect", tracing_connect)
+        store = SqliteBackend(tmp_path / "store")
+        assert len(plan_tasks(build_sweep(tiny_spec(), runs=2, seed=3))) == 4
+        series = run_sweep(tiny_spec(), runs=2, seed=3, store=store, executor="serial")
+        assert "4 points computed" in series.notes
+        assert len(inits) == 1
+        assert len(ddl) == 2  # the artifacts and claims tables, once
+
+
 # ----------------------------------------------------------------------
 # The worker loop
 # ----------------------------------------------------------------------

@@ -401,6 +401,88 @@ class TestCheckpointTable:
         backend.delete_checkpoint("a")  # idempotent
         assert backend.list_checkpoints() == ["b"]
 
+    def test_put_and_get_open_one_connection_each(self, store_path, monkeypatch):
+        import repro.sim.results as results
+
+        backend = SqliteBackend(store_path)
+        backend.put_checkpoint("warm", self._link())  # schema set up already
+        opened = []
+        real_connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(1)
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(results.sqlite3, "connect", counting_connect)
+        for call in (
+            lambda: backend.put_checkpoint("a", self._link()),  # created
+            lambda: backend.put_checkpoint("a", self._link()),  # duplicate
+            lambda: backend.get_checkpoint("a"),  # hit
+            lambda: backend.get_checkpoint("missing"),  # miss
+        ):
+            opened.clear()
+            call()
+            assert len(opened) == 1
+
+    def test_counters_exact_across_two_instances(self, store_path):
+        one, two = SqliteBackend(store_path), SqliteBackend(store_path)
+        one.save_manifest("sw", {"points": ["pA"]})
+        for i in range(6):
+            writer, reader = (one, two) if i % 2 else (two, one)
+            assert writer.put_checkpoint(f"k{i}", self._link(points=["pA"] if i else None))
+            assert not reader.put_checkpoint(f"k{i}", self._link())
+            assert reader.get_checkpoint(f"k{i}") is not None
+            assert writer.get_checkpoint(f"absent{i}") is None
+            assert writer.get_checkpoint(f"k{i}") is not None
+        assert two.gc_checkpoints() == {"kept": 5, "removed": 1}
+        for backend in (one, two):
+            stats = backend.checkpoint_stats()
+            assert (stats["hits"], stats["misses"], stats["writes"]) == (12, 6, 6)
+            assert stats["gc_removed"] == 1 and stats["count"] == 5
+
+    def test_counters_exact_under_concurrent_workers(self, store_path):
+        # more workers than cores, each on its own store instance: the
+        # upsert must neither lose a tick nor fail on a lock upgrade
+        import sys
+        import threading
+
+        SqliteBackend(store_path).put_checkpoint("k", self._link())
+        errors = []
+
+        def work(w):
+            backend = SqliteBackend(store_path)
+            try:
+                for i in range(20):
+                    backend.get_checkpoint("k")
+                    backend.get_checkpoint(f"absent-{w}-{i}")
+                    backend.put_checkpoint(f"k-{w}-{i}", self._link())
+            except Exception as exc:  # reported below, with the worker
+                errors.append((w, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        stats = SqliteBackend(store_path).checkpoint_stats()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == (120, 120, 121)
+
+    def test_corrupt_link_raises_and_counts_nothing(self, store_path):
+        backend = SqliteBackend(store_path)
+        backend.put_checkpoint("bad", self._link())
+        _corrupt_row(backend, "checkpoints", "bad")
+        with pytest.raises(ConfigurationError, match="corrupt checkpoints row"):
+            backend.get_checkpoint("bad")
+        stats = backend.checkpoint_stats()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == (0, 0, 1)
+
     def test_queue_stats_carries_the_checkpoint_row(self, store_path):
         backend = SqliteBackend(store_path)
         assert backend.queue_stats()["checkpoints"].get("count", 0) == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.coloring.assignment import CodeAssignment
+from repro.matching import max_weight_matching
 from repro.sim.network import AdHocNetwork
 from repro.strategies.minim import (
     MinimStrategy,
@@ -11,6 +12,7 @@ from repro.strategies.minim import (
     plan_local_matching_recode,
     plan_power_increase,
 )
+from repro.strategies.minim.join import v1_weight_graph
 from repro.topology.node import NodeConfig
 from repro.topology.static import StaticDigraph
 
@@ -80,10 +82,35 @@ class TestRecodeOnJoin:
         g, a = star_join([1, 1, 2, 3, 3])
         hung = plan_local_matching_recode(g, a, 0, backend="hungarian")
         scip = plan_local_matching_recode(g, a, 0, backend="scipy")
-        # Total recode counts agree (both maximum-weight); the exact
-        # matching may differ only within equal-weight ties, which the
-        # composed weights make unique — so outcomes are identical.
-        assert hung.new_colors == scip.new_colors
+        # Both backends find a maximum-weight matching, so the matched
+        # weight and the recode count agree.  The composed weights do
+        # not make the optimum unique (two members allowed the same
+        # fresh colors can swap at equal weight), so the colorings
+        # themselves may differ: SciPy is a weight oracle, not a drop-in.
+        v1 = [1, 2, 3, 4, 5, 0]
+        bip = v1_weight_graph(v1, {u: a.get(u) for u in v1}, {u: set() for u in v1})
+        assert max_weight_matching(bip).total_weight == pytest.approx(
+            max_weight_matching(bip, backend="scipy").total_weight
+        )
+        assert len(hung.changes) == len(scip.changes) == minimal_join_bound(g, a, 0)
+
+    def test_weight_rows_match_the_edge_formula(self):
+        # the dense rows carry exactly the per-edge weights
+        # w·k1 + k2 + (max − k)·k3 + (|V1| − pos), forbidden colors absent
+        v1 = [4, 7, 9, 0]
+        old = {4: 2, 7: 2, 9: 5, 0: None}
+        constraints = {4: {1}, 7: {3, 6}, 9: set(), 0: {2, 4}}
+        bip = v1_weight_graph(v1, old, constraints)
+        n, m = 4, 6
+        k3 = n * n + 1
+        k2 = n * m * k3 + n * n + 1
+        k1 = (n + 1) * k2
+        assert bip.right == list(range(1, m + 1))
+        for pos, u in enumerate(v1):
+            for k in range(1, m + 1):
+                w = 3 if k == old[u] else 1
+                want = None if k in constraints[u] else float(w * k1 + k2 + (m - k) * k3 + n - pos)
+                assert bip.weight(u, k) == want
 
     def test_invalid_weights_rejected(self):
         g, a = star_join([1])
